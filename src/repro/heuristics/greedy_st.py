@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import Sequence
+from functools import cache
+from typing import Any
 
 from ..models.request import MulticastRequest
 from ..models.results import MulticastTree
@@ -41,59 +43,129 @@ def nearest_on_shortest_paths(topology: Topology, s: Node, t: Node, target: Node
     raise TypeError(f"no O(1) shortest-path projection for {topology!r}")
 
 
+@cache
+def _popcount_table(n: int) -> Any:
+    """``uint8`` popcounts of the ``2**n`` node ids of an n-cube."""
+    import numpy as np
+
+    ids = np.arange(1 << n)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for bit in range(n):
+        table += ((ids >> bit) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def build_virtual_tree(
     topology: Topology, root: Node, dests: Sequence[Node]
 ) -> list[tuple[Node, Node]]:
     """Steps 3-4 of Fig. 5.4: greedily grow the virtual Steiner tree by
     attaching each destination (in list order) at its nearest point on
-    an existing virtual edge.  Returns the virtual edge list E(T)."""
+    an existing virtual edge.  Returns the virtual edge list E(T).
+
+    A destination's distances to all live edges are one array
+    expression.  Edges sit in append-only arrays (each destination adds
+    at most 3); a split tombstones the old row, so the live rows keep
+    the order of the edge list, and ``argmin`` returning the first
+    minimum breaks ties as a scan with a strict ``<`` does.  Only the
+    winning edge's attach point is computed as a node.  The per-pair
+    scan is kept as
+    :func:`repro.heuristics.reference.reference_build_virtual_tree`.
+    """
     if not dests:
         return []
     edges: list[tuple[Node, Node]] = [(root, dests[0])]
-    for u_i in dests[1:]:
-        if any(u_i in e for e in edges):
+    if len(dests) == 1:
+        return edges
+    import numpy as np
+
+    cap = 3 * len(dests)
+    if isinstance(topology, Hypercube):
+        # popcount((u ^ a) & ~(a ^ b)): the bits where u leaves the
+        # subcube spanned by the shortest a-b paths
+        pop = _popcount_table(topology.n)
+        ends = np.zeros(cap, dtype=np.int64)
+        fixed = np.zeros(cap, dtype=np.int64)
+        worst = np.iinfo(pop.dtype).max
+
+        def store(row: int, s: Any, t: Any) -> None:
+            ends[row] = s
+            fixed[row] = ~(s ^ t)
+
+        def distances(i: int, m: int) -> Any:
+            return pop[(ends[:m] ^ dests[i]) & fixed[:m]]
+
+    elif isinstance(topology, (Mesh2D, Mesh3D)):
+        # Column j of ``box`` is edge j's bounding box as [lo, -hi] and
+        # query i is destination i as [u, -u], so the column sums of
+        # max(box - query, 0) are the L1 distances |clamp(u, lo, hi) - u|.
+        coords = np.array(dests, dtype=np.int64)
+        queries = np.concatenate([coords, -coords], axis=1)[:, :, None]
+        box = np.zeros((queries.shape[1], cap), dtype=np.int64)
+        worst = np.iinfo(box.dtype).max
+
+        def store(row: int, s: Any, t: Any) -> None:
+            box[:, row] = [*map(min, s, t), *[-c for c in map(max, s, t)]]
+
+        def distances(i: int, m: int) -> Any:
+            gap = box[:, :m] - queries[i]
+            np.maximum(gap, 0, out=gap)
+            return np.add.reduce(gap, axis=0)
+
+    else:
+        raise TypeError(f"no O(1) shortest-path projection for {topology!r}")
+
+    dead = np.zeros(cap, dtype=bool)
+    endpoints = {root, dests[0]}
+    store(0, root, dests[0])
+    m = 1
+    for i in range(1, len(dests)):
+        u_i = dests[i]
+        if u_i in endpoints:
             continue
-        best_v: Node | None = None
-        best_edge = None
-        best_d = None
-        for e in edges:
-            s, t = e
-            v = nearest_on_shortest_paths(topology, s, t, u_i)
-            d = topology.distance(u_i, v)
-            if best_d is None or d < best_d:
-                best_v, best_edge, best_d = v, e, d
-        assert best_v is not None and best_edge is not None
-        s, t = best_edge
-        if best_v != s and best_v != t:
-            edges.remove(best_edge)
-            edges.append((s, best_v))
-            edges.append((best_v, t))
-        if u_i != best_v:
-            edges.append((best_v, u_i))
-    return edges
+        d = distances(i, m)
+        d[dead[:m]] = worst
+        row = int(d.argmin())
+        s, t = edges[row]
+        v = nearest_on_shortest_paths(topology, s, t, u_i)
+        if v != s and v != t:
+            dead[row] = True
+            for e in ((s, v), (v, t)):
+                store(m, *e)
+                edges.append(e)
+                m += 1
+            endpoints.add(v)
+        if u_i != v:
+            store(m, v, u_i)
+            edges.append((v, u_i))
+            m += 1
+            endpoints.add(u_i)
+    return [e for e, gone in zip(edges, dead[:m].tolist()) if not gone]
 
 
 def _subtree_partition(
     edges: Sequence[tuple[Node, Node]], root: Node
-) -> list[tuple[Node, set]]:
-    """Step 5 of Fig. 5.4: the root's sons in the virtual tree, each with
-    the set of nodes of its subtree."""
+) -> tuple[list[Node], dict[Node, int]]:
+    """Step 5 of Fig. 5.4: the root's sons in the virtual tree, and for
+    every other node below the root the index of the son whose subtree
+    holds it (the virtual edges form a tree, so subtrees are disjoint)."""
     adj = defaultdict(list)
     for s, t in edges:
         adj[s].append(t)
         adj[t].append(s)
-    sons = []
-    for r in adj[root]:
-        members = {r}
+    sons = adj[root]
+    owner: dict[Node, int] = {}
+    seen = {root, *sons}
+    for i, r in enumerate(sons):
         frontier = deque([r])
         while frontier:
             v = frontier.popleft()
             for w in adj[v]:
-                if w != root and w not in members:
-                    members.add(w)
+                if w not in seen:
+                    seen.add(w)
+                    owner[w] = i
                     frontier.append(w)
-        sons.append((r, members))
-    return sons
+    return sons, owner
 
 
 def greedy_st_prepare(request: MulticastRequest) -> list[Node]:
@@ -160,8 +232,13 @@ def greedy_st_route(request: MulticastRequest, resort: bool = False) -> Multicas
         if first:
             root_virtual = tuple(edges)
             first = False
-        for son, members in _subtree_partition(edges, u):
-            sublist = [son] + [d for d in rest if d in members and d != son]
+        sons, owner = _subtree_partition(edges, u)
+        sublists = [[son] for son in sons]
+        for d in rest:
+            i = owner.get(d)
+            if i is not None:
+                sublists[i].append(d)
+        for son, sublist in zip(sons, sublists):
             nxt = topo.dimension_ordered_path(u, son)[1]
             arcs.append((u, nxt))
             pending.append((nxt, sublist))
