@@ -32,9 +32,9 @@ registrations appear in ``route --algorithm`` choices and the
 ``algorithms`` listing without touching this module.
 
 Exit codes: 0 success, 1 analysis findings (``certify`` / ``lint``) or
-a typed service error, 2 usage errors (unknown scheme, bad node, bad
-``--engine``, invalid :class:`~repro.sim.config.SimConfig` values —
-always a one-line message, never a traceback), 3 no fault-avoiding
+a typed service error, 2 usage errors (unknown scheme, bad node,
+invalid :class:`~repro.sim.config.SimConfig` values — always a
+one-line message, never a traceback), 3 no fault-avoiding
 route exists (:class:`Unroutable`, the blocking channel is named on
 stderr), 4 an exact solver exceeded its ``--budget`` node-expansion
 limit (:class:`repro.exact.SearchBudgetExceeded`).
@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
         from .parallel import SweepJob, pooled_latency, replicate, run_sweep
 
         jobs = [
-            SweepJob(topology, args.scheme, c, engine=args.engine)
+            SweepJob(topology, args.scheme, c)
             for c in replicate(cfg, args.replications)
         ]
         results = run_sweep(jobs, workers=args.workers)
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
             f"{args.workers or 'auto'} workers)"
         )
         return 0
-    result = run_dynamic(topology, args.scheme, cfg, engine=args.engine)
+    result = run_dynamic(topology, args.scheme, cfg)
     print(
         f"{args.scheme} on {topology}: mean latency "
         f"{result.mean_latency * 1e6:.2f} us "
@@ -241,7 +241,6 @@ def cmd_faults(args) -> int:
                     scheme,
                     cfg.replace(link_fault_rate=rate),
                     "resilient",
-                    args.engine,
                 ),
                 args.replications,
             )
@@ -342,7 +341,6 @@ def cmd_mixed(args) -> int:
     result = run_mixed(
         topology, args.scheme, cfg,
         unicast_fraction=args.unicast_fraction,
-        engine=args.engine,
     )
     print(
         f"{args.scheme} on {topology} ({args.unicast_fraction:.0%} unicast): "
@@ -682,11 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for the replication sweep "
                         "(default: all cores; used when --replications > 1)")
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core: the coroutine reference model, the "
-                        "vectorized structure-of-arrays engine (identical "
-                        "results), or auto (picked per run from workload "
-                        "features, recorded in the result)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("faults", help="fault-injection degradation study")
@@ -719,8 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="skip replications already in --checkpoint")
     p.add_argument("--output", default=None, help="write the sweep as JSON")
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core for every replication")
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("mixed", help="unicast/multicast interaction study (§8.2)")
@@ -731,9 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interarrival-us", type=float, default=300.0)
     p.add_argument("--unicast-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--engine", choices=["reference", "dense", "auto"], default="reference",
-                   help="simulation core (reference coroutines, dense SoA, "
-                        "or auto selection)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("reproduce", help="regenerate one dissertation figure")

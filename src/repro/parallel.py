@@ -60,7 +60,6 @@ from collections.abc import Iterable, Sequence
 from .registry import get as get_spec
 from .sim.config import SimConfig
 from .sim.runner import (
-    ENGINES,
     DynamicResult,
     FaultResult,
     run_dynamic,
@@ -169,17 +168,12 @@ class SweepJob:
     driving process before any worker fans out.  ``runner`` selects the
     driver: ``"dynamic"`` (:func:`repro.sim.runner.run_dynamic`) or
     ``"resilient"`` (:func:`repro.sim.runner.run_resilient`, fault
-    injection + retry); ``engine`` the simulation core (``"reference"``
-    coroutine kernel, the vectorized ``"dense"`` engine, or ``"auto"``
-    to let each worker pick per job from its workload features —
-    the decision lands in ``result.engine_stats["auto"]`` and in the
-    checkpoint key, so resumes distinguish engines)."""
+    injection + retry)."""
 
     topology: Topology
     scheme: str
     config: SimConfig
     runner: str = "dynamic"
-    engine: str = "reference"
 
     def __post_init__(self):
         spec = get_spec(self.scheme)  # raises UnknownSchemeError on typos
@@ -196,11 +190,6 @@ class SweepJob:
         if self.runner not in ("dynamic", "resilient"):
             raise ValueError(
                 f"unknown runner {self.runner!r} (expected 'dynamic' or 'resilient')"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected one of "
-                f"{', '.join(sorted(ENGINES))})"
             )
 
 
@@ -260,9 +249,7 @@ def replicate(config, num_runs: int):
     from the config's seed."""
     if isinstance(config, SweepJob):
         return [
-            SweepJob(
-                config.topology, config.scheme, c, config.runner, config.engine
-            )
+            SweepJob(config.topology, config.scheme, c, config.runner)
             for c in replicate(config.config, num_runs)
         ]
     return [
@@ -284,8 +271,8 @@ def _run_job(job: SweepJob):
     # built once per worker rather than once per job.
     topology = canonical_topology(job.topology)
     if job.runner == "resilient":
-        return run_resilient(topology, job.scheme, job.config, engine=job.engine)
-    return run_dynamic(topology, job.scheme, job.config, engine=job.engine)
+        return run_resilient(topology, job.scheme, job.config)
+    return run_dynamic(topology, job.scheme, job.config)
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +289,6 @@ def _job_key(job: SweepJob) -> str:
     from dataclasses import asdict
 
     fields = [repr(job.topology), job.scheme, job.runner, asdict(job.config)]
-    if job.engine != "reference":
-        # appended only for non-default engines so checkpoints written
-        # before the engine field existed still resume cleanly
-        fields.append(job.engine)
     payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -28,7 +28,7 @@ from collections.abc import Callable
 from .models.request import MulticastRequest
 from .sim.config import SimConfig
 from .sim.kernel import Environment, Event
-from .sim.network import WormholeNetwork
+from .sim.reference import WormholeNetwork
 from .sim.runner import inject_specs
 from .sim.traffic import Router
 from .topology.base import Node, Topology

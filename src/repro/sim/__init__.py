@@ -1,18 +1,14 @@
 """Discrete-event wormhole network simulation (§7.2's dynamic study).
 
 The CSIM-equivalent kernel lives in :mod:`repro.sim.kernel`; the
-reference flit-level wormhole model in :mod:`repro.sim.reference` (the
-vectorized structure-of-arrays engine in :mod:`repro.sim.dense` is its
-parity-tested counterpart); routing adapters in
-:mod:`repro.sim.traffic`; the experiment drivers in
-:mod:`repro.sim.runner`, which take ``engine="reference"`` or
-``engine="dense"``.
+flit-level wormhole model in :mod:`repro.sim.reference`; routing
+adapters in :mod:`repro.sim.traffic`; the experiment drivers in
+:mod:`repro.sim.runner`.
 """
 
 from .config import InvalidConfigError, SimConfig
-from .dense import DenseEngine, EngineCounters
 from .kernel import Environment, Event, LegacyEnvironment, Process, Timeout
-from .network import (
+from .reference import (
     AdaptivePathWorm,
     Channel,
     Delivery,
@@ -31,7 +27,6 @@ from .faults import (
 from .saf import SAFNetwork
 from .vct import VCTWorm, inject_vct_path
 from .runner import (
-    ENGINES,
     DeadlockDetected,
     FaultResult,
     MixedResult,
@@ -55,10 +50,7 @@ __all__ = [
     "CircuitMessage",
     "DeadlockDetected",
     "Delivery",
-    "DenseEngine",
     "DynamicResult",
-    "ENGINES",
-    "EngineCounters",
     "Environment",
     "InvalidConfigError",
     "FaultEvent",

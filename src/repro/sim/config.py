@@ -85,16 +85,6 @@ class SimConfig:
     #: backoff)
     retry_backoff: float = 2.0
 
-    #: snap every traffic/retry/fault event time to the flit-time grid
-    #: (each delay rounds to the nearest whole number of flit times, at
-    #: least one).  Off by default — the reference engine then matches
-    #: the seed simulator bit for bit.  The dense engine advances an
-    #: integer flit clock, so it always behaves as if this were set;
-    #: enabling it on the reference engine is what makes dense-vs-
-    #: reference runs comparable event for event (the parity suite
-    #: runs both this way).
-    quantize_arrivals: bool = False
-
     def __post_init__(self):
         def require(ok: bool, field: str, why: str) -> None:
             if not ok:
@@ -143,15 +133,6 @@ class SimConfig:
         require(self.max_retries >= 0, "max_retries", "cannot be negative")
         require(self.retry_timeout > 0, "retry_timeout", "must be positive")
         require(self.retry_backoff > 0, "retry_backoff", "must be positive")
-
-    def quantize(self, delay: float) -> float:
-        """``delay`` snapped to the flit-time grid (>= one flit time)."""
-        tf = self.flit_time
-        return max(1, round(delay / tf)) * tf
-
-    def ticks(self, delay: float) -> int:
-        """``delay`` as a whole number of flit times (>= 1)."""
-        return max(1, round(delay / self.flit_time))
 
     @property
     def faulty(self) -> bool:

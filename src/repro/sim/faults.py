@@ -132,22 +132,6 @@ class FaultPlan:
         events.sort(key=lambda ev: ev.time)
         return cls(events=tuple(events), horizon=horizon)
 
-    def quantized(self, config: SimConfig) -> "FaultPlan":
-        """The same schedule with every event time snapped to the
-        flit-time grid (``SimConfig.quantize``).  Quantization is
-        monotone, so the events stay time-sorted and ties keep plan
-        order — this is what puts a reference-engine resilient run on
-        the dense engine's integer flit clock."""
-        if not self.events:
-            return self
-        return FaultPlan(
-            events=tuple(
-                FaultEvent(config.quantize(ev.time), ev.kind, ev.target, ev.down)
-                for ev in self.events
-            ),
-            horizon=self.horizon,
-        )
-
     def to_json(self) -> dict:
         """The plan as a JSON-serializable dict (inverse of
         :meth:`from_json`).
@@ -337,7 +321,7 @@ class FaultyWormholeNetwork(WormholeNetwork):
         #: worms in flight (registered by the faulty worm constructors).
         #: A dict-as-ordered-set: iteration (and hence the kill order
         #: when one fault hits several worms) follows injection order,
-        #: which is reproducible across processes and engines — a plain
+        #: which is reproducible across processes — a plain
         #: set would iterate in id() order, which is allocator-dependent
         self.live: dict = {}
         #: per-message set of destinations reached so far

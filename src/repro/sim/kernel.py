@@ -8,7 +8,7 @@ access, so the kernel is reimplemented here: an event calendar
 yield :class:`Timeout` or :class:`Event` objects, in the style CSIM and
 simpy share.
 
-The wormhole network model (:mod:`repro.sim.network`) uses the callback
+The wormhole network model (:mod:`repro.sim.reference`) uses the callback
 interface for speed; the traffic generators and examples use processes.
 
 Fast path

@@ -1,11 +1,8 @@
 """Reference flit-level wormhole network model (§2.2.4, §7.2).
 
-This is the authoritative coroutine/callback model: one worm object per
-message stepping through the event kernel.  It is the parity baseline
-for the vectorized structure-of-arrays engine in
-:mod:`repro.sim.dense`, exactly as :mod:`repro.exact.reference` and
-:mod:`repro.labeling.reference` anchor their optimised counterparts.
-(:mod:`repro.sim.network` re-exports these names for compatibility.)
+This is the simulator's coroutine/callback model: one worm object per
+message stepping through the event kernel (:mod:`repro.sim.kernel`).
+Every driver in :mod:`repro.sim.runner` runs on it.
 
 Messages are *worms*: the header acquires one channel per flit time and
 the body follows in a pipeline; a blocked worm stays in the network,
@@ -135,16 +132,12 @@ class WormholeNetwork:
         channel_key=None,
         capacity: int | None = None,
         flits: int | None = None,
-        route_key=None,
     ) -> "PathWorm":
         """Inject a path worm following ``nodes``; members of
         ``destinations`` latch a copy as the tail passes them.
         ``channel_key`` maps a hop to its channel identity (default:
         the ``(u, v)`` pair itself); ``flits`` overrides the message
-        length (header modelling).  ``route_key`` is a hashable token
-        that, together with ``(nodes, destinations, capacity)``, fully
-        determines every channel identity — engines with a route cache
-        may memoize on it; this scalar model ignores it."""
+        length (header modelling)."""
         channels = self.channels
         cap = capacity or self.config.channels_per_link
         chans = []

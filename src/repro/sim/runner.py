@@ -10,14 +10,9 @@ is summarised by batch means.
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
 
-Every driver takes ``engine=``: ``"reference"`` steps one worm object
-per event through the kernel (:mod:`repro.sim.reference`), ``"dense"``
-advances all worms as flat arrays on an integer flit clock
-(:mod:`repro.sim.dense`).  Both consume the same RNG draw sequence; with
-``SimConfig(quantize_arrivals=True)`` they agree event for event (the
-parity suite asserts identical delivery streams).  Worm styles without
-a dense kernel (``vct-tree``) transparently fall back to the reference
-engine on the dense engine's flit-time grid.
+Every driver steps one worm object per event through the
+:mod:`repro.sim.reference` wormhole model on the
+:mod:`repro.sim.kernel` calendar.
 """
 
 from __future__ import annotations
@@ -30,118 +25,15 @@ from ..retry import backoff_delay
 from ..topology.base import Topology
 from ..wormhole.fault_tolerance import Unroutable
 from .config import SimConfig
-from .dense import DenseEngine
 from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
 from .kernel import Environment, Timeout
-from .network import WormholeNetwork
+from .reference import WormholeNetwork
 from .stats import SimStats, Summary, batch_means
 from .traffic import AdaptiveSpec, PathSpec, Router, TreeSpec, VCTTreeSpec
-
-ENGINES = ("reference", "dense", "auto")
-
-#: aggregate injection gap — mean flit ticks between successive
-#: injections network-wide — above which the dense engine's frontier
-#: windows have room to amortize their fixed per-commit cost (measured
-#: crossover, PERFORMANCE.md §5; winning cells sit near 370, the
-#: contended regime below ~110)
-AUTO_GAP_TICKS = 320
-
-#: minimum routed hops per message for ``engine="auto"`` to pick dense:
-#: short multicast paths put too few rows in each frontier window to
-#: clear the NumPy dispatch crossover (PERFORMANCE.md §5)
-AUTO_MIN_HOPS = 96
 
 
 class DeadlockDetected(RuntimeError):
     """The simulation stalled with unfinished worms and no events."""
-
-
-def _check_engine(engine: str, env_factory=Environment) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine in ("dense", "auto") and env_factory is not Environment:
-        raise ValueError(
-            f"engine={engine!r} runs its own integer-tick calendar; "
-            "env_factory only applies to the reference engine"
-        )
-
-
-def choose_engine(topology, router, config, faulty: bool | None = None) -> tuple[str, dict]:
-    """Pick ``"dense"`` or ``"reference"`` for one run from cheap, O(1)
-    workload features — the ``engine="auto"`` policy.
-
-    The dense engine only pays off when its multi-tick frontier windows
-    fire (PERFORMANCE.md §5): plain path worms, an arrival process
-    already on the flit-clock grid (so the switch never changes the
-    numbers), no fault schedule fragmenting the calendar, and injections
-    sparse enough network-wide that windows can span the ~100-row NumPy
-    dispatch crossover.  Everything else runs the reference kernel,
-    which is the never-materially-worse baseline.
-
-    Returns ``(engine, features)`` where ``features`` records every
-    input to the decision plus the decision itself; drivers surface it
-    as ``result.engine_stats["auto"]``.
-    """
-    if faulty is None:
-        faulty = config.faulty
-    gap = config.ticks(config.mean_interarrival)
-    nodes = topology.num_nodes
-    agg_gap = gap / max(1, nodes)
-    style = router.spec.worm_style
-    # one representative multicast (evenly spread destinations) routed
-    # once: its specs expose the expected route length and whether the
-    # scheme splits each message across virtual-channel planes
-    worms = hops = 0
-    plane_split = plain_paths = False
-    k = min(config.num_destinations, nodes - 1)
-    if style == "star" and k > 0:
-        # a mid-index source with destinations spread over the whole
-        # index range engages both planes of plane-splitting schemes
-        src_i = nodes // 2
-        sel: list[int] = []
-        for i in range(k + 1):
-            j = (i * nodes) // (k + 1)
-            if j != src_i and j not in sel:
-                sel.append(j)
-        dests = tuple(topology.node_at(j) for j in sel[:k])
-        specs = router(MulticastRequest.trusted(topology, topology.node_at(src_i), dests))
-        plain_paths = all(isinstance(s, PathSpec) for s in specs)
-        if plain_paths:
-            worms = len(specs)
-            hops = sum(len(s.nodes) - 1 for s in specs)
-            plane_split = any(s.plane is not None for s in specs)
-    features = {
-        "worm_style": style,
-        "nodes": nodes,
-        "interarrival_ticks": gap,
-        "aggregate_gap_ticks": round(agg_gap, 3),
-        "gap_threshold_ticks": AUTO_GAP_TICKS,
-        "flits_per_message": config.flits_per_message,
-        "num_destinations": config.num_destinations,
-        "route_hops": hops,
-        "hops_threshold": AUTO_MIN_HOPS,
-        "worms_per_message": worms,
-        "plane_split": plane_split,
-        "quantized": config.quantize_arrivals,
-        "faulty": bool(faulty),
-    }
-    if style != "star" or not plain_paths:
-        decision, reason = "reference", "worm-style"
-    elif plane_split:
-        decision, reason = "reference", "plane-split"
-    elif not config.quantize_arrivals:
-        decision, reason = "reference", "unquantized-grid"
-    elif faulty:
-        decision, reason = "reference", "fault-schedule"
-    elif agg_gap < AUTO_GAP_TICKS:
-        decision, reason = "reference", "saturated"
-    elif hops < AUTO_MIN_HOPS:
-        decision, reason = "reference", "short-routes"
-    else:
-        decision, reason = "dense", "frontier-windows"
-    features["decision"] = decision
-    features["reason"] = reason
-    return decision, features
 
 
 @dataclass(frozen=True)
@@ -153,11 +45,6 @@ class DynamicResult:
     deliveries: int
     sim_time: float
     worms: int = 0
-    #: simulation engine that produced this result
-    engine: str = "reference"
-    #: dense-engine counters (``DenseEngine.cache_stats()``); None for
-    #: reference runs
-    engine_stats: dict | None = None
 
     @property
     def mean_latency(self) -> float:
@@ -186,7 +73,6 @@ def inject_specs(net, message_id: int, specs, capacity: int, router: "Router | N
                     channel_key=lambda u, v, p=plane: (u, v, p),
                     capacity=1,
                     flits=flits,
-                    route_key=plane,
                 )
         elif isinstance(spec, AdaptiveSpec):
             net.inject_adaptive_path(
@@ -230,22 +116,12 @@ def _make_router(topology, scheme, config, fault_state=None) -> Router:
     )
 
 
-def _dense_fallback(router: Router) -> bool:
-    """Whether the routed worm style lacks a dense kernel (VCT trees
-    buffer whole messages at nodes, which the flat channel-occupancy
-    model does not represent)."""
-    # capability check: "vct-tree" here is the worm_style, which happens
-    # to share its spelling with the scheme name
-    return router.spec.worm_style == "vct-tree"  # lint: ignore[no-registry-bypass]
-
-
 def run_dynamic(
     topology: Topology,
     scheme: str,
     config: SimConfig,
     router: Router | None = None,
     env_factory=Environment,
-    engine: str = "reference",
 ) -> DynamicResult:
     """Simulate Poisson multicast traffic under one routing scheme.
 
@@ -258,17 +134,6 @@ def run_dynamic(
     bit-identical results (the benchmark and parity suites exercise
     both).
     """
-    _check_engine(engine, env_factory)
-    auto: dict | None = None
-    if engine == "auto":
-        router = router or _make_router(topology, scheme, config)
-        engine, auto = choose_engine(topology, router, config)
-    if engine == "dense":
-        router = router or _make_router(topology, scheme, config)
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
-        else:
-            return _run_dynamic_dense(topology, scheme, config, router, auto=auto)
     env = env_factory()
     net = WormholeNetwork(env, config)
     rng = random.Random(config.seed)
@@ -288,7 +153,6 @@ def run_dynamic(
     k = config.num_destinations
     index_map = topology.index_map()
     schedule = env.schedule
-    q = config.quantize if config.quantize_arrivals else None
 
     def draw_destinations(source):
         chosen: set = set()
@@ -308,12 +172,10 @@ def run_dynamic(
         # the source — the trusted constructor skips re-checking that.
         request = MulticastRequest.trusted(topology, node, draw_destinations(node))
         inject_specs(net, mid, router(request), path_capacity, router)
-        delay = expovariate(arrival_rate)
-        schedule(q(delay) if q else delay, inject_from, node)
+        schedule(expovariate(arrival_rate), inject_from, node)
 
     for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
     completed = net.run_to_completion()
     if not completed:
@@ -329,78 +191,6 @@ def run_dynamic(
         deliveries=len(net.deliveries),
         sim_time=env.now,
         worms=net.total_worms,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_dynamic_dense(
-    topology: Topology,
-    scheme: str,
-    config: SimConfig,
-    router: Router,
-    auto: dict | None = None,
-) -> DynamicResult:
-    """:func:`run_dynamic` on the structure-of-arrays engine.
-
-    Duplicates the reference driver's RNG draw order exactly; delays
-    land on the integer flit clock via :meth:`SimConfig.ticks` (the
-    same grid ``quantize_arrivals`` puts the reference engine on)."""
-    eng = DenseEngine(config)
-    # every worm in a star/vc-star run is a path worm, which licenses
-    # the engine's tick-level vectorized dispatch
-    eng.tickvec = eng.vectorize and router.spec.worm_style in ("star", "vc-star")
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-    path_capacity = config.channels_per_link
-
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
-    index_map = topology.index_map()
-    ticks = config.ticks
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
-        inject_specs(eng, mid, router(request), path_capacity, router)
-        eng.call_in(ticks(expovariate(arrival_rate)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    stats = eng.cache_stats()
-    if auto is not None:
-        stats["auto"] = auto
-    return DynamicResult(
-        latency=batch_means(eng.latencies(cutoff)),
-        injected_messages=state["injected"],
-        deliveries=len(eng.d_mid),
-        sim_time=eng.now,
-        worms=eng.total_worms,
-        engine="dense",
-        engine_stats=stats,
     )
 
 
@@ -421,8 +211,6 @@ class FaultResult:
     worms: int
     stats: SimStats
     expected_deliveries: int
-    engine: str = "reference"
-    engine_stats: dict | None = None
 
     @property
     def mean_latency(self) -> float:
@@ -439,7 +227,6 @@ def run_resilient(
     config: SimConfig,
     plan: FaultPlan | None = None,
     env_factory=Environment,
-    engine: str = "reference",
 ) -> FaultResult:
     """:func:`run_dynamic` under fault injection with resilient
     delivery.
@@ -459,30 +246,10 @@ def run_resilient(
     zero fault rates the result matches :func:`run_dynamic` event for
     event (the parity suite asserts this).
     """
-    _check_engine(engine, env_factory)
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
-    auto: dict | None = None
-    if engine == "auto":
-        engine, auto = choose_engine(
-            topology,
-            _make_router(topology, scheme, config, FaultState(plan)),
-            config,
-            faulty=config.faulty or bool(plan.events),
-        )
-    if engine == "dense":
-        fault_state = FaultState(plan)
-        router = _make_router(topology, scheme, config, fault_state)
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
-        else:
-            return _run_resilient_dense(
-                topology, scheme, config, plan, fault_state, router, auto=auto
-            )
     env = env_factory()
     stats = SimStats()
-    if config.quantize_arrivals:
-        plan = plan.quantized(config)
     fault_state = FaultState(plan)
     net = FaultyWormholeNetwork(env, config, fault_state, stats)
     rng = random.Random(config.seed)
@@ -500,7 +267,6 @@ def run_resilient(
     k = config.num_destinations
     index_map = topology.index_map()
     schedule = env.schedule
-    q = config.quantize if config.quantize_arrivals else None
 
     # per-message delivery obligations and retry bookkeeping
     expected: dict[int, frozenset] = {}
@@ -531,7 +297,7 @@ def run_resilient(
         delay = backoff_delay(
             used, base=config.retry_timeout, factor=config.retry_backoff
         )
-        Timeout(env, q(delay) if q else delay).wait(
+        Timeout(env, delay).wait(
             lambda ev, mid=message_id: retry(mid)
         )
 
@@ -582,12 +348,10 @@ def run_resilient(
             except Unroutable:
                 stats.injection_failures += 1
                 handle_drop(mid, expected[mid], "unroutable")
-        delay = expovariate(arrival_rate)
-        schedule(q(delay) if q else delay, inject_from, node)
+        schedule(expovariate(arrival_rate), inject_from, node)
 
     for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
     completed = net.run_to_completion()
     if not completed:
@@ -610,146 +374,6 @@ def run_resilient(
         worms=net.total_worms,
         stats=stats,
         expected_deliveries=total_expected,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_resilient_dense(
-    topology: Topology,
-    scheme: str,
-    config: SimConfig,
-    plan: FaultPlan,
-    fault_state: FaultState,
-    router: Router,
-    auto: dict | None = None,
-) -> FaultResult:
-    """:func:`run_resilient` on the structure-of-arrays engine (the
-    fault-aware scalar kernels plus the vectorized fault mask)."""
-    stats = SimStats()
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    index_map = topology.index_map()
-    eng = DenseEngine(
-        config, fault_state=fault_state, stats=stats, node_index=index_map
-    )
-    state = {"injected": 0}
-    path_capacity = config.channels_per_link
-
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
-    ticks = config.ticks
-
-    # the fault schedule lands on the calendar before any injection, so
-    # same-tick fault events dispatch first (as in the reference driver)
-    for ev in plan.events:
-        eng.call_at(ticks(ev.time), fault_state._apply, eng, ev)
-
-    expected: dict[int, frozenset] = {}
-    sources: dict = {}
-    origins: dict = {}
-    attempts: dict = {}
-    pending_retry: set = set()
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
-
-    def handle_drop(message_id, dropped, reason):
-        if message_id in pending_retry:
-            return
-        used = attempts.get(message_id, 0)
-        if used >= config.max_retries:
-            return
-        attempts[message_id] = used + 1
-        pending_retry.add(message_id)
-        delay = backoff_delay(
-            used, base=config.retry_timeout, factor=config.retry_backoff
-        )
-        eng.call_in_deferred(ticks(delay), retry, message_id)
-
-    def retry(message_id):
-        pending_retry.discard(message_id)
-        remaining = expected[message_id] - eng.delivered_by_message.get(
-            message_id, set()
-        )
-        if not remaining:
-            return
-        source = sources[message_id]
-        if fault_state.node_down(source):
-            handle_drop(message_id, remaining, "source node down")
-            return
-        stats.retries += 1
-        request = MulticastRequest.trusted(
-            topology,
-            source,
-            tuple(sorted(remaining, key=index_map.__getitem__)),
-        )
-        eng.origin_tick = origins[message_id]
-        try:
-            inject_specs(eng, message_id, router(request), path_capacity, router)
-        except Unroutable:
-            stats.injection_failures += 1
-            handle_drop(message_id, remaining, "unroutable")
-        finally:
-            eng.origin_tick = None
-
-    eng.drop_handler = handle_drop
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
-        expected[mid] = frozenset(request.destinations)
-        sources[mid] = node
-        origins[mid] = eng.tick
-        if fault_state.node_down(node):
-            stats.injection_failures += 1
-            handle_drop(mid, expected[mid], "source node down")
-        else:
-            try:
-                inject_specs(eng, mid, router(request), path_capacity, router)
-            except Unroutable:
-                stats.injection_failures += 1
-                handle_drop(mid, expected[mid], "unroutable")
-        eng.call_in(ticks(expovariate(arrival_rate)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    latencies = eng.latencies(cutoff)
-    total_expected = sum(len(dests) for dests in expected.values())
-    stats.dropped = total_expected - stats.delivered
-    stats.engine_counters = eng.cache_stats()
-    if auto is not None:
-        stats.engine_counters["auto"] = auto
-    empty = Summary(float("nan"), float("inf"), 0, 0)
-    return FaultResult(
-        latency=batch_means(latencies) if latencies else empty,
-        injected_messages=state["injected"],
-        deliveries=len(eng.d_mid),
-        sim_time=eng.now,
-        worms=eng.total_worms,
-        stats=stats,
-        expected_deliveries=total_expected,
-        engine="dense",
-        engine_stats=stats.engine_counters,
     )
 
 
@@ -759,7 +383,6 @@ def run_until_confident(
     config: SimConfig,
     target_relative_ci: float = 0.05,
     max_doublings: int = 4,
-    engine: str = "reference",
 ) -> DynamicResult:
     """Repeat :func:`run_dynamic` with a doubling message budget until
     the 95% CI half-width falls below ``target_relative_ci`` of the
@@ -769,12 +392,12 @@ def run_until_confident(
 
     Returns the first run meeting the target, or the largest run tried.
     """
-    result = run_dynamic(topology, scheme, config, engine=engine)
+    result = run_dynamic(topology, scheme, config)
     for _ in range(max_doublings):
         if result.latency.relative_ci <= target_relative_ci:
             break
         config = config.replace(num_messages=config.num_messages * 2)
-        result = run_dynamic(topology, scheme, config, engine=engine)
+        result = run_dynamic(topology, scheme, config)
     return result
 
 
@@ -787,8 +410,6 @@ class MixedResult:
     multicast_latency: Summary
     injected_messages: int
     sim_time: float
-    engine: str = "reference"
-    engine_stats: dict | None = None
 
 
 def run_mixed(
@@ -796,7 +417,6 @@ def run_mixed(
     scheme: str,
     config: SimConfig,
     unicast_fraction: float = 0.5,
-    engine: str = "reference",
 ) -> MixedResult:
     """Simulate a mix of unicast and multicast traffic (§8.2: "study
     the interaction between unicast and multicast traffic and how
@@ -809,21 +429,10 @@ def run_mixed(
     """
     if not 0.0 <= unicast_fraction <= 1.0:
         raise ValueError("unicast_fraction must be in [0, 1]")
-    _check_engine(engine)
     router = Router(topology, scheme, channels_per_link=config.channels_per_link)
     from ..labeling import canonical_labeling
 
     labeling = router.labeling or canonical_labeling(topology)
-    auto: dict | None = None
-    if engine == "auto":
-        engine, auto = choose_engine(topology, router, config)
-    if engine == "dense":
-        if _dense_fallback(router):
-            config = config.replace(quantize_arrivals=True)
-        else:
-            return _run_mixed_dense(
-                topology, router, labeling, config, unicast_fraction, auto=auto
-            )
     env = Environment()
     net = WormholeNetwork(env, config)
     rng = random.Random(config.seed)
@@ -831,7 +440,6 @@ def run_mixed(
     n = len(nodes)
     state = {"injected": 0}
     kinds: dict[int, str] = {}
-    q = config.quantize if config.quantize_arrivals else None
 
     def inject_from(node):
         if state["injected"] >= config.num_messages:
@@ -858,12 +466,10 @@ def run_mixed(
             dests = tuple(topology.node_at(i) for i in sorted(chosen))
             request = MulticastRequest(topology, node, dests)
             inject_specs(net, mid, router(request), config.channels_per_link, router)
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
     for node in nodes:
-        delay = rng.expovariate(1.0 / config.mean_interarrival)
-        env.schedule(q(delay) if q else delay, inject_from, node)
+        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
     if not net.run_to_completion():
         raise DeadlockDetected(
@@ -886,84 +492,6 @@ def run_mixed(
         multicast_latency=batch_means(multi) if multi else empty,
         injected_messages=state["injected"],
         sim_time=env.now,
-        engine_stats={"auto": auto} if auto is not None else None,
-    )
-
-
-def _run_mixed_dense(
-    topology: Topology,
-    router: Router,
-    labeling,
-    config: SimConfig,
-    unicast_fraction: float,
-    auto: dict | None = None,
-) -> MixedResult:
-    """:func:`run_mixed` on the structure-of-arrays engine."""
-    eng = DenseEngine(config)
-    rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-    kinds: dict[int, str] = {}
-    ticks = config.ticks
-
-    def inject_from(node):
-        if state["injected"] >= config.num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        src_i = topology.index(node)
-        if rng.random() < unicast_fraction:
-            kinds[mid] = "unicast"
-            while True:
-                i = rng.randrange(n)
-                if i != src_i:
-                    break
-            dest = topology.node_at(i)
-            path = labeling.route_path(node, dest)
-            eng.inject_path(mid, path, {dest}, capacity=config.channels_per_link)
-        else:
-            kinds[mid] = "multicast"
-            chosen: set = set()
-            while len(chosen) < config.num_destinations:
-                i = rng.randrange(n)
-                if i != src_i:
-                    chosen.add(i)
-            dests = tuple(topology.node_at(i) for i in sorted(chosen))
-            request = MulticastRequest(topology, node, dests)
-            inject_specs(eng, mid, router(request), config.channels_per_link, router)
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    for node in nodes:
-        eng.call_in(ticks(rng.expovariate(1.0 / config.mean_interarrival)), inject_from, node)
-
-    if not eng.run():
-        raise DeadlockDetected(
-            f"{eng.active_worms} worms blocked with an empty event calendar"
-        )
-    cutoff = config.num_messages * config.warmup_fraction
-    tf = config.flit_time
-    uni = [
-        t * tf - inj * tf
-        for mid, inj, t in zip(eng.d_mid, eng.d_inj, eng.d_tick)
-        if mid > cutoff and kinds[mid] == "unicast"
-    ]
-    multi = [
-        t * tf - inj * tf
-        for mid, inj, t in zip(eng.d_mid, eng.d_inj, eng.d_tick)
-        if mid > cutoff and kinds[mid] == "multicast"
-    ]
-    empty = Summary(float("nan"), float("inf"), 0, 0)
-    stats = eng.cache_stats()
-    if auto is not None:
-        stats["auto"] = auto
-    return MixedResult(
-        unicast_latency=batch_means(uni) if uni else empty,
-        multicast_latency=batch_means(multi) if multi else empty,
-        injected_messages=state["injected"],
-        sim_time=eng.now,
-        engine="dense",
-        engine_stats=stats,
     )
 
 
@@ -975,8 +503,6 @@ class ScenarioResult:
     blocked_worms: int
     deliveries: int
     sim_time: float
-    engine: str = "reference"
-    engine_stats: dict | None = None
 
 
 def run_static_scenario(
@@ -984,31 +510,12 @@ def run_static_scenario(
     scheme: str,
     requests,
     config: SimConfig | None = None,
-    engine: str = "reference",
 ) -> ScenarioResult:
     """Inject the given multicasts simultaneously at time zero and run
     the network dry.  ``completed=False`` demonstrates deadlock (e.g.
     Fig. 6.1's two broadcasts under ``scheme='ecube-tree'``)."""
     config = config or SimConfig()
-    _check_engine(engine)
     router = Router(topology, scheme, channels_per_link=config.channels_per_link)
-    if engine == "auto":
-        # no arrival process to feature-ize: a static scenario is one
-        # burst at time zero, which the reference kernel handles best
-        engine = "reference"
-    if engine == "dense" and not _dense_fallback(router):
-        eng = DenseEngine(config)
-        for mid, request in enumerate(requests, start=1):
-            inject_specs(eng, mid, router(request), config.channels_per_link, router)
-        completed = eng.run()
-        return ScenarioResult(
-            completed=completed,
-            blocked_worms=eng.active_worms,
-            deliveries=len(eng.d_mid),
-            sim_time=eng.now,
-            engine="dense",
-            engine_stats=eng.cache_stats(),
-        )
     env = Environment()
     net = WormholeNetwork(env, config)
     for mid, request in enumerate(requests, start=1):

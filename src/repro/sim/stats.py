@@ -67,9 +67,6 @@ class SimStats:
     link_fault_events: int = 0
     node_fault_events: int = 0
     repair_events: int = 0
-    #: dense-engine progress counters (``DenseEngine.cache_stats()``);
-    #: None for reference-engine runs
-    engine_counters: dict | None = None
 
     @property
     def delivery_ratio(self) -> float:

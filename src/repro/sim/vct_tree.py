@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .network import WormholeNetwork
+from .reference import WormholeNetwork
 from .vct import inject_vct_path
 
 

@@ -9,23 +9,6 @@ import pytest
 
 from repro.topology import Hypercube, Mesh2D
 
-# the fast dense-engine gate CI runs on every PR (`pytest -m
-# dense_parity`): exact two-engine parity, the engine="auto" policy and
-# the convoy-resolver property tests; applied here so the files
-# themselves stay marker-free
-DENSE_PARITY_FILES = {
-    "test_dense_parity.py",
-    "test_engine_auto.py",
-    "test_dense_resolver_property.py",
-}
-
-
-def pytest_collection_modifyitems(items):
-    for item in items:
-        if item.path.name in DENSE_PARITY_FILES:
-            item.add_marker(pytest.mark.dense_parity)
-
-
 def bfs_distance(topology, u, v) -> int:
     """Reference BFS distance, for validating O(1) distance formulas."""
     if u == v:

@@ -25,15 +25,6 @@ def _one_line_error(capsys) -> str:
     return lines[0]
 
 
-class TestBadEngine:
-    @pytest.mark.parametrize("verb", SIM_VERBS)
-    def test_exit_2(self, verb, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main([verb, "--engine", "bogus"])
-        assert exc_info.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-
 class TestInvalidSimConfig:
     @pytest.mark.parametrize("verb", SIM_VERBS)
     def test_negative_messages(self, verb, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.sim import (
     Environment,
+    InvalidConfigError,
     Router,
     SimConfig,
     Summary,
@@ -161,3 +162,38 @@ class TestRunnerEdgeCases:
         cfg = SimConfig(num_messages=100, num_destinations=1, seed=6)
         r = run_dynamic(h, "dual-path", cfg)
         assert r.deliveries == 100
+
+
+# ----------------------------------------------------------------------
+# SimConfig validation (typed construction errors)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,value", [
+    ("message_bytes", 0),
+    ("flit_bytes", -1),
+    ("bandwidth", 0.0),
+    ("mean_interarrival", -1e-6),
+    ("num_destinations", 0),
+    ("num_messages", -1),
+    ("warmup_fraction", 1.5),
+    ("channels_per_link", 0),
+    ("link_fault_rate", -0.1),
+    ("node_fault_rate", 2.0),
+    ("fault_mtbf", -1.0),
+    ("fault_window", 0.0),
+    ("max_retries", -1),
+    ("retry_timeout", 0.0),
+    ("retry_backoff", 0.0),
+])
+def test_invalid_config_rejected(field, value):
+    with pytest.raises(InvalidConfigError, match=field):
+        SimConfig(**{field: value})
+
+
+def test_invalid_config_is_value_error():
+    """Callers that caught ValueError before the typed subclass existed
+    keep working."""
+    with pytest.raises(ValueError):
+        SimConfig(bandwidth=-1)
+    assert issubclass(InvalidConfigError, ValueError)
