@@ -71,7 +71,8 @@ class Transition:
     ``apply`` receives a field view and returns the successor view, or
     a list of views for nondeterministic steps (e.g. the chaos plan
     choosing an action at dispatch).  ``methods`` are the dotted paths
-    (relative to ``repro.service``) of the production code the
+    (relative to ``repro.service``, or ``workers.`` for the shared
+    worker pool :mod:`repro.workers`) of the production code the
     transition abstracts — :mod:`repro.analysis.model.conformance`
     verifies they resolve, so renaming a supervisor method without
     updating the model fails CI.

@@ -5,10 +5,11 @@ Two checks keep the models honest as the supervisor evolves:
 * **binding resolution** — every transition names the production code
   it abstracts as dotted paths under :mod:`repro.service`
   (``supervisor.RouteService._send_job``, ``cache.RoutePlanCache.get``,
-  ...).  Each path must resolve to a real attribute, so renaming or
-  deleting a supervisor method without updating the model fails the
-  conformance test (and `python -m repro modelcheck`, and therefore
-  CI).
+  ...) or, with the ``workers.`` prefix, under the shared worker pool
+  :mod:`repro.workers` (``workers.WorkerHandle.recycle``).  Each path
+  must resolve to a real attribute, so renaming or deleting a
+  supervisor method without updating the model fails the conformance
+  test (and `python -m repro modelcheck`, and therefore CI).
 * **protocol coverage** — the converse direction: every method of the
   supervisor's request/breaker/health protocol (the curated
   :data:`PROTOCOL_METHODS` set) must be abstracted by at least one
@@ -53,19 +54,29 @@ PROTOCOL_METHODS: frozenset[str] = frozenset(
         "cache.RoutePlanCache.get",
         "cache.RoutePlanCache.put",
         "chaos.ChaosPlan.action",
-        # worker side of the heartbeat loop
-        "worker.worker_main",
+        # the shared worker pool: heartbeats, job hand-off, reclaim
+        "workers.worker_main",
+        "workers.WorkerHandle.send",
+        "workers.WorkerHandle.drain",
+        "workers.WorkerHandle.recycle",
+        "worker.handle_job",
     }
 )
 
 _MISSING = object()
 
+#: binding modules that live outside :mod:`repro.service`
+_SHARED_MODULES = {"workers": "repro.workers"}
+
 
 def resolve_binding(path: str) -> object:
-    """Resolve a ``module.Qual.name`` path under :mod:`repro.service`;
-    returns the attribute or raises :class:`AttributeError`."""
+    """Resolve a ``module.Qual.name`` path under :mod:`repro.service`
+    (or :mod:`repro.workers` for ``workers.``); returns the attribute or
+    raises :class:`AttributeError`."""
     module_name, _, qualname = path.partition(".")
-    module = importlib.import_module(f"repro.service.{module_name}")
+    module = importlib.import_module(
+        _SHARED_MODULES.get(module_name, f"repro.service.{module_name}")
+    )
     obj: object = module
     for part in qualname.split(".") if qualname else []:
         obj = getattr(obj, part, _MISSING)

@@ -21,7 +21,8 @@ abstracting one protocol of :mod:`repro.service.supervisor`:
   heartbeats, staleness, chaos stalls, crashes, and the supervisor's
   reclaim (kill + respawn + requeue).  The pipe is modelled explicitly
   so the checker proves a reply buffered by a dying worker can never be
-  delivered to a later request (the supervisor closes the connection
+  delivered to a later request (the shared pool's
+  :meth:`~repro.workers.WorkerHandle.recycle` closes the connection
   before respawning).
 
 Every factory accepts a ``bug`` parameter that injects a *known*
@@ -403,9 +404,12 @@ def worker_heartbeat_machine(bug: str | None = None) -> Machine:
     ``fresh`` (recent beat), ``stale`` (beats missed but inside the
     timeout), ``stalled`` (past the timeout — chaos stall or a genuine
     wedge), ``dead`` (process gone).  ``stale_reply`` models a reply a
-    crashing worker may leave buffered in its pipe; the supervisor
-    closes the connection during reclaim precisely so that the buffered
-    bytes can never be read back and routed to a later request.
+    crashing worker may leave buffered in its pipe;
+    :meth:`repro.workers.WorkerHandle.recycle` closes the connection
+    before respawning precisely so that the buffered bytes can never be
+    read back and routed to a later request.  The sweep runner and the
+    service both reclaim workers through that one method, so this
+    machine covers both users of the pool.
 
     ``bug="leaky-pipe"`` drops that close: the respawned worker's slot
     still holds the dead worker's buffered reply, violating
@@ -431,13 +435,13 @@ def worker_heartbeat_machine(bug: str | None = None) -> Machine:
     transitions = (
         Transition(
             "assign_job",
-            ("supervisor.RouteService._send_job",),
+            ("supervisor.RouteService._send_job", "workers.WorkerHandle.send"),
             lambda v: v["status"] == "fresh" and not v["busy"],
             lambda v: _up(v, busy=True),
         ),
         Transition(
             "deliver_result",
-            ("supervisor.RouteService._on_result",),
+            ("supervisor.RouteService._on_result", "workers.WorkerHandle.drain"),
             lambda v: bool(v["busy"])
             and v["status"] in ("fresh", "stale")
             and not v["stale_reply"],
@@ -445,13 +449,13 @@ def worker_heartbeat_machine(bug: str | None = None) -> Machine:
         ),
         Transition(
             "deliver_stale_reply",
-            ("supervisor.RouteService._on_result",),
+            ("supervisor.RouteService._on_result", "workers.WorkerHandle.drain"),
             lambda v: bool(v["stale_reply"]) and v["status"] == "fresh",
             lambda v: _up(v, misrouted=True, stale_reply=False),
         ),
         Transition(
             "heartbeat",
-            ("supervisor.RouteService._dispatch_ticks", "worker.worker_main"),
+            ("workers.worker_main", "workers.WorkerHandle.drain"),
             lambda v: v["status"] == "stale",
             lambda v: _up(v, status="fresh"),
         ),
@@ -463,7 +467,7 @@ def worker_heartbeat_machine(bug: str | None = None) -> Machine:
         ),
         Transition(
             "worker_stall",
-            ("chaos.ChaosPlan.action",),
+            ("chaos.ChaosPlan.action", "worker.handle_job"),
             lambda v: v["status"] in ("fresh", "stale"),
             lambda v: _up(v, status="stalled"),
         ),
@@ -475,13 +479,13 @@ def worker_heartbeat_machine(bug: str | None = None) -> Machine:
         ),
         Transition(
             "detect_death",
-            ("supervisor.RouteService._reclaim",),
+            ("supervisor.RouteService._reclaim", "workers.WorkerHandle.recycle"),
             lambda v: v["status"] == "dead",
             reclaim,
         ),
         Transition(
             "detect_hang",
-            ("supervisor.RouteService._reclaim",),
+            ("supervisor.RouteService._reclaim", "workers.WorkerHandle.recycle"),
             lambda v: v["status"] == "stalled",
             reclaim,
         ),

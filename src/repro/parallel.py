@@ -4,8 +4,8 @@ The dissertation's dynamic evaluation sweeps load × destination-set
 size × routing scheme, one CSIM run per point.  Each point is an
 independent simulation fully determined by ``(topology, scheme,
 SimConfig)`` — including its RNG seed — so the sweep is embarrassingly
-parallel: :func:`run_sweep` fans the points out over a
-``multiprocessing`` pool and returns the :class:`DynamicResult` for
+parallel: :func:`run_sweep` fans the points out over a pool of
+worker processes and returns the :class:`DynamicResult` for
 every job *in job order*, bit-for-bit identical to running the same
 jobs serially (worker placement never touches a simulation's RNG).
 
@@ -32,11 +32,12 @@ killed outright, so :func:`run_sweep` also accepts:
   in-flight jobs); ``resume=True`` reloads matching records and only
   runs the jobs that are missing.
 
-Any of these options routes execution through a process-per-job
-supervisor (one ``fork`` per attempt, results over a per-job queue) —
-a worker crash, hang, or out-of-memory kill is isolated to its own
-job.  With none of them set the original low-overhead ``Pool.map``
-path runs unchanged.
+Every sweep that is not run serially in-process runs on the shared
+worker pool (:mod:`repro.workers`): one persistent forked worker per
+slot, each fed one job at a time over its own pipe.  A worker that
+times out, crashes or is killed is recycled (SIGKILL, fresh process)
+and its job goes through the retry budget, so the failure is isolated
+to that one job.
 
 Usage::
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -68,6 +68,7 @@ from .sim.runner import (
 from .sim.stats import SimStats, Summary
 from .topology.base import Topology
 from .topology.oracle import canonical_topology
+from .workers import WorkerHandle, WorkerState, wait_any
 
 __all__ = [
     "JobFailure",
@@ -76,29 +77,23 @@ __all__ = [
     "SweepJob",
     "SweepStats",
     "derive_seed",
-    "kill_process",
-    "reap_result",
     "replicate",
     "run_sweep",
     "pooled_latency",
 ]
-
-#: seconds a finished-looking worker gets to flush its result queue
-#: before being declared crashed
-_CRASH_GRACE = 0.25
 
 
 @dataclass
 class SweepStats:
     """Attempt/retry/timeout accounting for one :func:`run_sweep` call.
 
-    Pass an instance as ``stats=`` to observe what the supervised path
+    Pass an instance as ``stats=`` to observe what the worker pool
     actually did — before this existed, retries that eventually
     *succeeded* were invisible (only terminal failures surfaced, as
     :class:`JobFailure` records), so a sweep that silently burned its
     retry budget looked identical to a clean one.
 
-    ``attempts`` counts worker processes launched; ``resumed`` counts
+    ``attempts`` counts jobs handed to a worker; ``resumed`` counts
     results served from the checkpoint instead of being re-run;
     ``retries`` counts re-runs granted after a failed attempt
     (``attempts`` = first tries + retries); ``timeouts`` / ``crashes``
@@ -120,43 +115,6 @@ class SweepStats:
         from dataclasses import asdict
 
         return asdict(self)
-
-
-# ----------------------------------------------------------------------
-# Worker-lifecycle helpers, shared with the routing service's
-# supervisor (repro.service.supervisor): the sweep runner and the
-# service pool kill and reap workers the same way.
-# ----------------------------------------------------------------------
-
-
-def kill_process(process, *, hard: bool = False) -> int | None:
-    """Stop a worker process (SIGTERM, or SIGKILL with ``hard=True``
-    for hung workers that may ignore termination), join it, and return
-    its exit code."""
-    if process.is_alive():
-        if hard:
-            process.kill()
-        else:
-            process.terminate()
-    process.join()
-    return process.exitcode
-
-
-def reap_result(queue, grace: float = _CRASH_GRACE):
-    """One payload a dead worker may have flushed just before dying.
-
-    A worker that exits immediately after ``queue.put`` can race the
-    queue's pipe: the supervisor sees the process dead while the bytes
-    are still in flight.  Polling for a short grace period
-    distinguishes "finished, then died" from a genuine crash.  Returns
-    the payload, or ``None`` if nothing arrives within ``grace``.
-    """
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
-        if not queue.empty():
-            return queue.get()
-        time.sleep(0.005)
-    return None
 
 
 @dataclass(frozen=True)
@@ -405,13 +363,15 @@ def run_sweep(
     """Run every job (a :class:`SweepJob` or ``(topology, scheme,
     config)`` tuple) and return its result, in job order.
 
-    ``workers`` defaults to ``os.cpu_count()``; ``workers <= 1`` (or a
-    single job) runs serially in-process.  Parallel execution is
-    bit-for-bit identical to serial execution: every simulation is
-    seeded by its own config and shares no state with its siblings.
+    ``workers`` defaults to ``os.cpu_count()``.  With none of the
+    robustness options below, ``workers <= 1`` (or a single job) runs
+    serially in-process; every other sweep runs on the worker pool (see
+    the module docstring).  Pool execution is bit-for-bit identical to
+    serial execution: every simulation is seeded by its own config and
+    shares no state with its siblings.
 
-    Robustness options (any of them engages the supervised
-    process-per-job path, see the module docstring):
+    Robustness options (any of them runs the sweep on the pool, where
+    each job's failure is isolated):
 
     ``timeout``
         per-job wall-clock budget in seconds; over-budget jobs are
@@ -433,23 +393,17 @@ def run_sweep(
         either ``on_error`` policy.
     ``stats``
         optional :class:`SweepStats` populated with attempt/retry/
-        timeout/crash accounting (supervised path only).
+        timeout/crash accounting (pool only).
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"unknown on_error policy {on_error!r}")
     jobs = [_normalize(j) for j in jobs]
     if workers is None:
         workers = os.cpu_count() or 1
-    supervised = (
-        timeout is not None or retries > 0 or checkpoint is not None or resume
-    )
-    if not supervised:
-        if workers <= 1 or len(jobs) <= 1:
-            return [_run_job(j) for j in jobs]
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            return pool.map(_run_job, jobs, chunksize=1)
-    return _run_supervised(
+    robust = timeout is not None or retries > 0 or checkpoint is not None or resume
+    if not robust and (workers <= 1 or len(jobs) <= 1):
+        return [_run_job(j) for j in jobs]
+    return _run_pooled(
         jobs,
         workers=max(1, workers),
         timeout=timeout,
@@ -462,22 +416,18 @@ def run_sweep(
     )
 
 
-def _job_worker(job: SweepJob, queue) -> None:
-    """Subprocess entry: run one job, ship the outcome over the queue.
+def _sweep_job(state: WorkerState, job: SweepJob) -> tuple:
+    """The pool handler: ``(True, result)`` or ``(False, message)``.
 
-    Every failure mode that still lets Python run is reported as a
-    ``(False, message)`` payload; a hard death (segfault, OOM kill,
-    timeout termination) is detected by the supervisor instead."""
+    ``_run_job`` is looked up when the job runs, in a worker forked
+    from the parent, so a patched ``_run_job`` reaches every worker."""
     try:
-        result = _run_job(job)
-        payload = (True, result)
-    except BaseException as exc:  # noqa: BLE001 - isolate *any* worker failure
-        payload = (False, f"{type(exc).__name__}: {exc}")
-    with contextlib.suppress(Exception):
-        queue.put(payload)  # queue gone: the supervisor records a crash
+        return True, _run_job(job)
+    except Exception as exc:  # reported as a failed attempt, not a crash
+        return False, f"{type(exc).__name__}: {exc}"
 
 
-def _run_supervised(
+def _run_pooled(
     jobs: Sequence[SweepJob],
     *,
     workers: int,
@@ -489,25 +439,13 @@ def _run_supervised(
     failures: list | None,
     stats: SweepStats,
 ) -> list:
-    ctx = _pool_context()
     results: dict[int, object] = {}
     failed: dict[int, JobFailure] = {}
 
     if checkpoint is not None and resume:
         results.update(_load_checkpoint(checkpoint, jobs))
         stats.resumed = len(results)
-
-    exits = contextlib.ExitStack()
-    ckpt_fh = (
-        exits.enter_context(open(checkpoint, "a", encoding="utf-8"))
-        if checkpoint
-        else None
-    )
-    pending: list[tuple[int, int]] = [
-        (i, 0) for i in range(len(jobs)) if i not in results
-    ]
-    pending.reverse()  # pop() from the end yields jobs in order
-    running: dict[int, tuple] = {}  # index -> (process, queue, deadline, attempt)
+    pending = [(i, 0) for i in reversed(range(len(jobs))) if i not in results]
 
     def record_failure(index: int, attempt: int, error: str) -> None:
         if attempt < retries:
@@ -520,85 +458,59 @@ def _run_supervised(
         if failures is not None:
             failures.append(failure)
 
-    def finish(index: int, attempt: int, entry, outcome) -> None:
-        process = entry[0]
-        process.join()
-        entry[1].close()
-        ok, payload = outcome
-        if ok:
-            results[index] = payload
-            stats.completed += 1
-            if ckpt_fh is not None:
-                _append_checkpoint(ckpt_fh, index, jobs[index], payload)
-        else:
-            stats.errors += 1
-            record_failure(index, attempt, payload)
-
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                index, attempt = pending.pop()
-                queue = ctx.SimpleQueue()
-                process = ctx.Process(
-                    target=_job_worker, args=(jobs[index], queue), daemon=True
-                )
-                process.start()
-                stats.attempts += 1
-                deadline = time.monotonic() + timeout if timeout is not None else None
-                running[index] = (process, queue, deadline, attempt)
-
-            progressed = False
-            for index, entry in list(running.items()):
-                process, queue, deadline, attempt = entry
-                if not queue.empty():
-                    del running[index]
-                    finish(index, attempt, entry, queue.get())
-                    progressed = True
-                elif deadline is not None and time.monotonic() > deadline:
-                    kill_process(process)
-                    queue.close()
-                    del running[index]
-                    stats.timeouts += 1
-                    record_failure(
-                        index, attempt, f"timed out after {timeout:g}s"
-                    )
-                    progressed = True
-                elif not process.is_alive():
-                    # dead without a visible result: give the queue
-                    # feeder a grace period, then declare a crash
-                    outcome = reap_result(queue)
-                    del running[index]
-                    if outcome is not None:
-                        finish(index, attempt, entry, outcome)
+    with contextlib.ExitStack() as exits:
+        ckpt_fh = (
+            exits.enter_context(open(checkpoint, "a", encoding="utf-8"))
+            if checkpoint
+            else None
+        )
+        pool: list[WorkerHandle] = []
+        for _ in range(min(workers, len(pending))):
+            pool.append(WorkerHandle(_sweep_job))
+            exits.callback(pool[-1].shutdown)
+        while True:
+            for handle in pool:  # pop() from the end yields jobs in order
+                if handle.busy is None and pending:
+                    index, attempt = pending.pop()
+                    handle.send(index, jobs[index])
+                    stats.attempts += 1
+                    deadline = None if timeout is None else time.monotonic() + timeout
+                    handle.busy = (index, attempt, deadline)
+            busy = [handle for handle in pool if handle.busy is not None]
+            if not busy:
+                break
+            wait_any(busy, timeout=0.05)
+            for handle in busy:
+                index, attempt, deadline = handle.busy
+                # liveness first: a worker that replied and then died
+                # still has its reply in the pipe
+                dead = not handle.alive()
+                replies = [reply for seq, reply in handle.drain() if seq == index]
+                if replies:
+                    handle.busy = None
+                    ok, payload = replies[0]
+                    if ok:
+                        results[index] = payload
+                        stats.completed += 1
+                        if ckpt_fh is not None:
+                            _append_checkpoint(ckpt_fh, index, jobs[index], payload)
                     else:
-                        process.join()
-                        queue.close()
-                        stats.crashes += 1
-                        record_failure(
-                            index,
-                            attempt,
-                            f"worker died (exit code {process.exitcode})",
-                        )
-                    progressed = True
-            if not progressed and running:
-                time.sleep(0.01)
-    finally:
-        for process, queue, _, _ in running.values():
-            kill_process(process)
-            queue.close()
-        exits.close()
+                        stats.errors += 1
+                        record_failure(index, attempt, payload)
+                elif dead:
+                    handle.busy = None
+                    exitcode = handle.recycle()
+                    stats.crashes += 1
+                    record_failure(index, attempt, f"worker died (exit code {exitcode})")
+                elif deadline is not None and time.monotonic() > deadline:
+                    handle.busy = None
+                    handle.recycle()
+                    stats.timeouts += 1
+                    record_failure(index, attempt, f"timed out after {timeout:g}s")
 
     if failed and on_error == "raise":
         raise SweepError([failed[i] for i in sorted(failed)])
     return [results.get(i) for i in range(len(jobs))]
-
-
-def _pool_context():
-    """Prefer fork (cheap, no re-import) where available."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
 
 
 def pooled_latency(

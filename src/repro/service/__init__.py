@@ -21,8 +21,9 @@ Layers (each usable alone):
   jitter, heartbeat-based hang detection, worker restart with
   requeue-once, and a per-``(scheme, topology)`` circuit breaker that
   degrades to the spec's declared ``fallback``;
-* :mod:`repro.service.worker` — the worker process main loop (warm
-  interned topologies, heartbeat thread, chaos hooks);
+* :mod:`repro.service.worker` — the job handler each worker of the
+  shared pool (:mod:`repro.workers`) runs: route computation on warm
+  interned topologies, plus the chaos hooks;
 * :mod:`repro.service.chaos` — the seeded chaos plan (kill / delay /
   drop / stall injection) the robustness suite drives the service
   with;

@@ -14,6 +14,7 @@ from :data:`ERROR_CODES`.  Raw tracebacks never cross the wire.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Any
@@ -70,7 +71,8 @@ class RouteRequest:
 
     ``request_id`` is the client's correlation key — the service echoes
     it verbatim in exactly one response.  ``deadline`` is a relative
-    budget in seconds covering *every* attempt (retries included);
+    budget in seconds covering *every* attempt (retries included); off
+    the wire it must be finite and positive, so it always fires;
     ``budget`` forwards to schemes declaring the ``budget`` tunable
     (the exact branch-and-bound solvers).
     """
@@ -100,8 +102,10 @@ class RouteRequest:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "RouteRequest":
+        """Decode one request; anything malformed, including a number
+        no field can hold, raises :class:`ProtocolError`."""
         try:
-            return cls(
+            request = cls(
                 request_id=int(data["request_id"]),
                 topology=str(data["topology"]),
                 scheme=str(data["scheme"]),
@@ -112,8 +116,15 @@ class RouteRequest:
                     None if data.get("deadline") is None else float(data["deadline"])
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed route request: {exc}") from exc
+        deadline = request.deadline
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+            raise ProtocolError(
+                f"malformed route request: deadline must be finite and > 0, "
+                f"got {deadline!r}"
+            )
+        return request
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,9 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
         line = line.decode("utf-8", errors="replace")
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, and so is an integer literal
+        # past the int-conversion digit limit; deep nesting recurses
         raise ProtocolError(f"bad JSON line: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError(f"expected a JSON object, got {type(data).__name__}")

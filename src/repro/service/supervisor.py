@@ -12,11 +12,13 @@ terminal :class:`RouteResponse`**, whatever the workers do:
   (:mod:`repro.service.cache`); hits resolve without touching a
   worker and are tagged ``cache_hit=True``;
 * **supervised workers** — each request runs in one of a fixed pool
-  of persistent worker processes (:mod:`repro.service.worker`) over a
-  per-worker pipe.  The dispatcher detects death (``is_alive`` /
-  broken pipe) and hangs (stale heartbeats), SIGKILLs and restarts the
-  worker, and **requeues the in-flight request exactly once** with a
-  seeded, deadline-capped backoff (:func:`repro.retry.retry_delay`);
+  of persistent worker processes (the shared pool of
+  :mod:`repro.workers`, running :func:`repro.service.worker.handle_job`)
+  over a per-worker pipe.  The dispatcher detects death (``is_alive`` /
+  broken pipe) and hangs (stale heartbeats), recycles the worker
+  (SIGKILL, close the pipe, respawn), and **requeues the in-flight
+  request exactly once** with a seeded, deadline-capped backoff
+  (:func:`repro.retry.retry_delay`);
 * **per-request deadline** — one budget spans all attempts; when it
   expires the request resolves ``timeout`` and the worker still
   grinding on it is recycled;
@@ -34,7 +36,9 @@ terminal :class:`RouteResponse`**, whatever the workers do:
 Threading model: ``submit()`` (any thread) only touches the intake
 queue, the cache, and the counters lock; all worker and breaker state
 belongs to the single dispatcher thread.  Futures are resolved exactly
-once, guarded by the dispatch record's ``resolved`` flag.
+once, in :meth:`RouteService._resolve`, guarded by the dispatch
+record's ``resolved`` flag; a future the caller cancelled is counted
+but left alone.
 
 The discipline is machine-checked: attributes carry ``# owned-by:
 dispatcher`` / ``# guarded-by: _lock`` annotations and dispatcher-only
@@ -47,24 +51,20 @@ modelcheck`` (:mod:`repro.analysis.model`).
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from multiprocessing.context import BaseContext
+from typing import Any
 
 from .. import registry
-from ..parallel import kill_process
 from ..retry import retry_delay
+from ..workers import WorkerHandle
 from .cache import CacheKey, RoutePlanCache, route_key
 from .chaos import ChaosPlan
 from .protocol import RouteRequest, RouteResponse
-from .worker import _parse_topology, worker_main
+from .worker import _parse_topology, handle_job
 
 __all__ = ["CircuitBreaker", "RouteService", "ServiceConfig"]
 
@@ -190,37 +190,6 @@ class _Dispatch:
     terminal: RouteResponse | None = field(default=None, repr=False)
 
 
-class _WorkerHandle:
-    """Supervisor-side view of one worker process."""
-
-    def __init__(self, ctx: BaseContext, heartbeat_interval: float) -> None:
-        self._ctx = ctx
-        self._hb = heartbeat_interval
-        self.busy: _Dispatch | None = None
-        self.pipe_broken = False
-        self.spawn()
-
-    def spawn(self) -> None:
-        parent, child = self._ctx.Pipe()
-        self.conn = parent
-        self.process = self._ctx.Process(
-            target=worker_main, args=(child,), kwargs={"heartbeat_interval": self._hb},
-            daemon=True,
-        )
-        self.process.start()
-        child.close()  # parent keeps only its end; EOF detection works
-        self.last_heartbeat = time.monotonic()
-        self.pipe_broken = False
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass
-        kill_process(self.process, hard=True)
-        self.conn.close()
-
-
 #: Breaker-visible error codes (see :class:`CircuitBreaker`).
 _BREAKER_ERRORS = ("budget-exceeded", "timeout")
 
@@ -241,7 +210,7 @@ class RouteService:
         self.cache = RoutePlanCache(self.config.cache_capacity)
         self._intake: queue.Queue[_Dispatch] = queue.Queue(maxsize=self.config.queue_bound)
         self._pending: list[_Dispatch] = []  # owned-by: dispatcher
-        self._workers: list[_WorkerHandle] = []  # owned-by: dispatcher
+        self._workers: list[WorkerHandle] = []  # owned-by: dispatcher
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}  # owned-by: dispatcher
         self._lock = threading.Lock()  # counters + seq + lifecycle flags
         self._seq = 0  # guarded-by: _lock
@@ -278,13 +247,10 @@ class RouteService:
             if self._started:
                 return self
             self._started = True
-        from ..parallel import _pool_context
-
-        ctx = _pool_context()
         # happens-before: the pool is built before the dispatcher
         # thread exists, so this write cannot race it
         self._workers = [  # lint: ignore[dispatcher-ownership]
-            _WorkerHandle(ctx, self.config.heartbeat_interval)
+            WorkerHandle(handle_job, self.config.heartbeat_interval)
             for _ in range(self.config.workers)
         ]
         self._dispatcher = threading.Thread(
@@ -444,18 +410,36 @@ class RouteService:
                 self._counters["failed"] += 1
                 self._errors[response.error] = self._errors.get(response.error, 0) + 1
 
-    def _resolve(self, dispatch: _Dispatch, response: RouteResponse) -> None:  # thread: dispatcher
+    def _resolve(  # thread: dispatcher
+        self, dispatch: _Dispatch, response: RouteResponse, cache_hit: bool = False
+    ) -> None:
         """The only place a dispatched request turns terminal — the
         ``resolved`` guard enforces exactly-once even if two failure
-        paths fire in one tick."""
+        paths fire in one tick.  The response is counted even when the
+        caller has cancelled the future (or asyncio teardown cancelled
+        it for them); only ``set_result`` is skipped then."""
         if dispatch.resolved:
             return
         dispatch.resolved = True
         dispatch.terminal = response
-        self._account_terminal(response)
+        self._account_terminal(response, cache_hit=cache_hit)
         with self._lock:
             self._outstanding -= 1
-        dispatch.future.set_result(response)
+        if dispatch.future.set_running_or_notify_cancel():
+            dispatch.future.set_result(response)
+
+    def _fail(self, dispatch: _Dispatch, code: str, detail: str) -> None:  # thread: dispatcher
+        """Resolve ``dispatch`` with a typed error response."""
+        self._resolve(
+            dispatch,
+            RouteResponse(
+                request_id=dispatch.request.request_id,
+                ok=False,
+                error=code,
+                detail=detail,
+                attempts=dispatch.attempts,
+            ),
+        )
 
     def outstanding(self) -> int:
         """Requests admitted but not yet terminal."""
@@ -496,7 +480,7 @@ class RouteService:
                 for (scheme, topo), breaker in sorted(self._breakers.items())
             },
             "workers": [
-                {"pid": handle.process.pid, "alive": handle.process.is_alive()}
+                {"pid": handle.process.pid, "alive": handle.alive()}
                 for handle in self._workers
             ],
             "chaos": None if chaos is None else chaos.to_json(),
@@ -537,28 +521,16 @@ class RouteService:
                 self._counters["retries"] += 1
             self._pending.append(dispatch)
             return
-        self._resolve(
-            dispatch,
-            RouteResponse(
-                request_id=dispatch.request.request_id,
-                ok=False,
-                error=code,
-                detail=detail,
-                attempts=dispatch.attempts,
-            ),
-        )
+        self._fail(dispatch, code, detail)
 
-    def _reclaim(self, handle: _WorkerHandle, now: float, *, hung: bool) -> None:  # thread: dispatcher
+    def _reclaim(self, handle: WorkerHandle, now: float, *, hung: bool) -> None:  # thread: dispatcher
         """A worker died or hung: recycle it and recover its request."""
-        kill_process(handle.process, hard=True)
-        exitcode = handle.process.exitcode
-        handle.conn.close()
+        exitcode = handle.recycle()
         dispatch = handle.busy
         handle.busy = None
         with self._lock:
             self._counters["hung_workers" if hung else "worker_crashes"] += 1
             self._counters["worker_restarts"] += 1
-        handle.spawn()
         if dispatch is not None and not dispatch.resolved:
             detail = (
                 f"worker hung (no heartbeat for {self.config.heartbeat_timeout:g}s)"
@@ -569,7 +541,7 @@ class RouteService:
 
     def _on_result(  # thread: dispatcher
         self,
-        handle: _WorkerHandle,
+        handle: WorkerHandle,
         dispatch: _Dispatch,
         outcome: tuple[bool, dict[str, Any]],
     ) -> None:
@@ -610,21 +582,11 @@ class RouteService:
                 self._counters["budget_fallbacks"] += 1
             self._pending.append(dispatch)
             return
-        self._resolve(
-            dispatch,
-            RouteResponse(
-                request_id=dispatch.request.request_id,
-                ok=False,
-                error=code,
-                detail=detail,
-                attempts=dispatch.attempts,
-            ),
-        )
+        self._fail(dispatch, code, detail)
 
-    def _send_job(self, handle: _WorkerHandle, dispatch: _Dispatch, now: float) -> bool:  # thread: dispatcher
+    def _send_job(self, handle: WorkerHandle, dispatch: _Dispatch, now: float) -> bool:  # thread: dispatcher
         request = dispatch.request
         job: dict[str, Any] = {
-            "seq": dispatch.seq,
             "topology": request.topology,
             "scheme": dispatch.fallback if dispatch.degraded else dispatch.scheme,
             "source": request.source,
@@ -648,10 +610,7 @@ class RouteService:
             if action is not None:
                 with self._lock:
                     self._counters[f"chaos_{action}s"] += 1
-        try:
-            handle.conn.send(job)
-        except OSError:
-            handle.pipe_broken = True
+        if not handle.send(dispatch.seq, job):
             dispatch.kill_at = None
             self._pending.insert(0, dispatch)
             return False
@@ -677,27 +636,9 @@ class RouteService:
             dispatch = handle.busy
             handle.busy = None
             if dispatch is not None:
-                self._resolve(
-                    dispatch,
-                    RouteResponse(
-                        request_id=dispatch.request.request_id,
-                        ok=False,
-                        error="shutdown",
-                        detail="service stopped mid-request",
-                        attempts=dispatch.attempts,
-                    ),
-                )
+                self._fail(dispatch, "shutdown", "service stopped mid-request")
         for dispatch in self._pending:
-            self._resolve(
-                dispatch,
-                RouteResponse(
-                    request_id=dispatch.request.request_id,
-                    ok=False,
-                    error="shutdown",
-                    detail="service stopped with the request queued",
-                    attempts=dispatch.attempts,
-                ),
-            )
+            self._fail(dispatch, "shutdown", "service stopped with the request queued")
         self._pending = []
 
     def _dispatch_ticks(self) -> None:  # thread: dispatcher
@@ -717,26 +658,18 @@ class RouteService:
             if stopping:
                 break
 
-            # 2. drain worker pipes (results + heartbeats)
+            # 2. drain worker pipes (results; heartbeats refresh
+            # last_heartbeat).  A reply whose seq is not the worker's
+            # current job is stale and dropped.
             for handle in self._workers:
-                try:
-                    while handle.conn.poll():
-                        message = handle.conn.recv()
-                        if message[0] == "hb":
-                            handle.last_heartbeat = now
-                        elif message[0] == "res":
-                            handle.last_heartbeat = now
-                            dispatch = handle.busy
-                            if (
-                                dispatch is not None
-                                and dispatch.seq == message[1]
-                            ):
-                                handle.busy = None
-                                self._on_result(handle, dispatch, message[2])
-                except (EOFError, OSError):
-                    handle.pipe_broken = True
+                for seq, outcome in handle.drain():
+                    dispatch = handle.busy
+                    if dispatch is not None and dispatch.seq == seq:
+                        handle.busy = None
+                        self._on_result(handle, dispatch, outcome)
 
-            # 3. staged chaos kills (mid-request SIGKILL)
+            # 3. staged chaos kills (mid-request SIGKILL), then worker
+            # health: death, then hangs
             for handle in self._workers:
                 dispatch = handle.busy
                 if (
@@ -745,16 +678,13 @@ class RouteService:
                     and now >= dispatch.kill_at
                 ):
                     dispatch.kill_at = None
-                    kill_process(handle.process, hard=True)
-
-            # 4. worker health: death, then hangs
-            for handle in self._workers:
-                if handle.pipe_broken or not handle.process.is_alive():
+                    self._reclaim(handle, now, hung=False)
+                elif not handle.alive():
                     self._reclaim(handle, now, hung=False)
                 elif now - handle.last_heartbeat > cfg.heartbeat_timeout:
                     self._reclaim(handle, now, hung=True)
 
-            # 5. per-request deadlines — in flight and still queued
+            # 4. per-request deadlines — in flight and still queued
             for handle in self._workers:
                 dispatch = handle.busy
                 if dispatch is not None and now > dispatch.deadline_abs:
@@ -764,48 +694,31 @@ class RouteService:
                     with self._lock:
                         self._counters["timeouts"] += 1
                         self._counters["worker_restarts"] += 1
-                    self._resolve(
+                    self._fail(
                         dispatch,
-                        RouteResponse(
-                            request_id=dispatch.request.request_id,
-                            ok=False,
-                            error="timeout",
-                            detail=f"deadline expired after "
-                            f"{now - dispatch.submitted_at:.3f}s",
-                            attempts=dispatch.attempts,
-                        ),
+                        "timeout",
+                        f"deadline expired after {now - dispatch.submitted_at:.3f}s",
                     )
                     # the worker is still grinding on the stale job:
                     # recycle it rather than poison the next request
-                    kill_process(handle.process, hard=True)
-                    handle.conn.close()
-                    handle.spawn()
+                    handle.recycle()
             still_pending = []
             for dispatch in self._pending:
                 if now > dispatch.deadline_abs:
                     with self._lock:
                         self._counters["timeouts"] += 1
-                    self._resolve(
-                        dispatch,
-                        RouteResponse(
-                            request_id=dispatch.request.request_id,
-                            ok=False,
-                            error="timeout",
-                            detail="deadline expired before dispatch",
-                            attempts=dispatch.attempts,
-                        ),
-                    )
+                    self._fail(dispatch, "timeout", "deadline expired before dispatch")
                 else:
                     still_pending.append(dispatch)
             self._pending = still_pending
 
-            # 6. dispatch to idle workers.  Cache replays and
+            # 5. dispatch to idle workers.  Cache replays and
             # circuit-open rejections cost no worker, so each idle
             # worker keeps pulling until it lands a real job (else a
             # burst of cache hits would drain at one per worker per
             # tick instead of resolving immediately).
             for handle in self._workers:
-                while handle.busy is None and not handle.pipe_broken:
+                while handle.busy is None and not handle.broken:
                     index = next(
                         (
                             i
@@ -829,17 +742,12 @@ class RouteService:
                                 with self._lock:
                                     self._counters["breaker_short_circuits"] += 1
                             else:
-                                self._resolve(
+                                self._fail(
                                     dispatch,
-                                    RouteResponse(
-                                        request_id=dispatch.request.request_id,
-                                        ok=False,
-                                        error="circuit-open",
-                                        detail=f"{dispatch.scheme} is failing on "
-                                        f"{dispatch.request.topology} and declares "
-                                        "no fallback",
-                                        attempts=dispatch.attempts,
-                                    ),
+                                    "circuit-open",
+                                    f"{dispatch.scheme} is failing on "
+                                    f"{dispatch.request.topology} and declares "
+                                    "no fallback",
                                 )
                                 continue
                     self._send_job(handle, dispatch, now)
@@ -847,10 +755,4 @@ class RouteService:
             time.sleep(0.002)
 
     def _account_cache_replay(self, dispatch: _Dispatch, cached: RouteResponse) -> None:  # thread: dispatcher
-        response = cached.replayed(dispatch.request.request_id)
-        dispatch.resolved = True
-        dispatch.terminal = response
-        self._account_terminal(response, cache_hit=True)
-        with self._lock:
-            self._outstanding -= 1
-        dispatch.future.set_result(response)
+        self._resolve(dispatch, cached.replayed(dispatch.request.request_id), cache_hit=True)

@@ -1,50 +1,37 @@
-"""Worker process: warm-oracle route computation + heartbeats.
+"""The routing service's job handler: warm-oracle route computation
+plus the chaos directives.
 
-Each worker is a long-lived child process holding one end of a
-``multiprocessing.Pipe``.  It answers job dicts with small result
-tuples and, from a daemon thread, streams ``("hb", n)`` heartbeats so
-the supervisor can tell a *hung* worker (stale heartbeat) from a
-*busy* one (fresh heartbeats, no result yet) from a *dead* one
-(``is_alive()`` false / broken pipe).
-
-Why a Pipe per worker instead of one shared queue: the chaos harness
-SIGKILLs workers mid-request, and a kill landing mid-``put`` on a
-shared queue can corrupt it for everyone.  A per-worker pipe confines
-the damage — the supervisor treats a broken/garbled pipe as that one
-worker crashing — and our messages are far below ``PIPE_BUF``, so
-individual sends are atomic.
+The process around it — the pipe, the heartbeat thread, spawn, kill and
+respawn — is the shared worker pool of :mod:`repro.workers`; this
+module only says what one worker does with one job.
 
 Warm state: topologies are interned through
-:func:`repro.topology.canonical_topology`, so every request against
-the same topology spec shares one :class:`DistanceOracle` and its
-caches for the lifetime of the worker — the cache is what the service
-benchmark's routed-destinations/sec rests on.
+:func:`repro.topology.canonical_topology` and kept in the worker's
+``cache``, so every request against the same topology spec shares one
+:class:`DistanceOracle` and its caches for the lifetime of the worker —
+the cache is what the service benchmark's routed-destinations/sec rests
+on.
 
-All sends share one lock (``Connection.send`` is not thread-safe
-against the heartbeat thread).  Chaos directives (``hold_s`` /
-``delay_s`` / ``drop`` / ``stall``) arrive inside the job dict; the
-worker itself stays deterministic — it only ever does what the
-supervisor's seeded :class:`~repro.service.chaos.ChaosPlan` told it
-to.
+Chaos directives (``hold_s`` / ``delay_s`` / ``drop`` / ``stall``)
+arrive inside the job dict; the worker itself stays deterministic — it
+only ever does what the supervisor's seeded
+:class:`~repro.service.chaos.ChaosPlan` told it to.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
+from typing import Any
 
 from ..exact.errors import InfeasibleRoute, SearchBudgetExceeded
 from ..models.request import MulticastRequest
 from ..registry import UnknownSchemeError, get as get_spec
 from ..topology import canonical_topology
+from ..workers import NO_REPLY, WorkerState
 from ..wormhole.fault_tolerance import Unroutable
 
-__all__ = ["compute_route", "worker_main"]
+__all__ = ["compute_route", "handle_job"]
 
 #: How long a stalled worker sleeps (heartbeats off) before giving up
 #: waiting for the supervisor's SIGKILL.
@@ -72,7 +59,7 @@ def compute_route(
     tracebacks.
 
     ``topology_cache`` maps topology specs to interned instances; pass
-    the same dict across calls to keep oracles warm (the worker loop
+    the same dict across calls to keep oracles warm (each pool worker
     does, and so does the in-process benchmark baseline).
     """
     try:
@@ -120,60 +107,23 @@ def compute_route(
         }
 
 
-def worker_main(conn: Connection, heartbeat_interval: float = 0.05) -> None:
-    """The child-process loop: heartbeat thread + recv/compute/send.
-
-    Exits cleanly on a ``None`` job (shutdown) or a closed pipe; every
-    other exit is a crash the supervisor will notice.
-    """
-    send_lock = threading.Lock()
-    heartbeats_on = threading.Event()
-    heartbeats_on.set()
-    stop = threading.Event()
-
-    def beat() -> None:
-        n = 0
-        while not stop.is_set():
-            if heartbeats_on.is_set():
-                n += 1
-                try:
-                    with send_lock:
-                        conn.send(("hb", n))
-                except OSError:
-                    return  # supervisor side gone
-            time.sleep(heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True).start()
-
-    topology_cache: dict[str, Any] = {}
-    try:
-        while True:
-            try:
-                job = conn.recv()
-            except (EOFError, OSError):
-                return
-            if job is None:
-                return
-            if job.get("stall"):
-                # simulate a hung interpreter: heartbeats go silent and
-                # no result ever comes — only the supervisor's
-                # heartbeat monitor can reclaim this worker
-                heartbeats_on.clear()
-                time.sleep(_STALL_S)
-                continue
-            hold = job.get("hold_s", 0.0)
-            if hold:
-                time.sleep(hold)  # window for a staged chaos SIGKILL
-            outcome = compute_route(topology_cache, job)
-            delay = job.get("delay_s", 0.0)
-            if delay:
-                time.sleep(delay)
-            if job.get("drop"):
-                continue  # chaos: response lost in flight
-            try:
-                with send_lock:
-                    conn.send(("res", job["seq"], outcome))
-            except OSError:
-                return
-    finally:
-        stop.set()
+def handle_job(state: WorkerState, job: Mapping[str, Any]) -> Any:
+    """The pool handler: :func:`compute_route` on the worker's warm
+    topology cache, with the job's chaos directives applied."""
+    if job.get("stall"):
+        # simulate a hung interpreter: heartbeats go silent and no
+        # result ever comes — only the supervisor's heartbeat monitor
+        # can reclaim this worker
+        state.heartbeating.clear()
+        time.sleep(_STALL_S)
+        return NO_REPLY
+    hold = job.get("hold_s", 0.0)
+    if hold:
+        time.sleep(hold)  # window for a staged chaos SIGKILL
+    outcome = compute_route(state.cache, job)
+    delay = job.get("delay_s", 0.0)
+    if delay:
+        time.sleep(delay)
+    if job.get("drop"):
+        return NO_REPLY  # chaos: response lost in flight
+    return outcome

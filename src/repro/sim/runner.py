@@ -226,7 +226,6 @@ def run_resilient(
     scheme: str,
     config: SimConfig,
     plan: FaultPlan | None = None,
-    env_factory=Environment,
 ) -> FaultResult:
     """:func:`run_dynamic` under fault injection with resilient
     delivery.
@@ -248,7 +247,7 @@ def run_resilient(
     """
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
-    env = env_factory()
+    env = Environment()
     stats = SimStats()
     fault_state = FaultState(plan)
     net = FaultyWormholeNetwork(env, config, fault_state, stats)
