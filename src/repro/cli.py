@@ -32,9 +32,10 @@ registrations appear in ``route --algorithm`` choices and the
 ``algorithms`` listing without touching this module.
 
 Exit codes: 0 success, 1 analysis findings (``certify`` / ``lint``) or
-a typed service error, 2 usage errors (unknown scheme, bad node,
-invalid :class:`~repro.sim.config.SimConfig` values — always a
-one-line message, never a traceback), 3 no fault-avoiding
+a typed service error, 2 usage errors (unknown scheme, bad topology
+or node, invalid :class:`~repro.sim.config.SimConfig` values, a
+scheme the fault model does not cover — always a one-line message,
+never a traceback), 3 no fault-avoiding
 route exists (:class:`Unroutable`, the blocking channel is named on
 stderr), 4 an exact solver exceeded its ``--budget`` node-expansion
 limit (:class:`repro.exact.SearchBudgetExceeded`).
@@ -49,6 +50,7 @@ from . import registry
 from .exact.errors import SearchBudgetExceeded
 from .models.request import MulticastRequest
 from .sim.config import InvalidConfigError
+from .sim.runner import UnsupportedFaultModel
 from .topology import Hypercube, KAryNCube, Mesh2D, Mesh3D
 from .wormhole.fault_tolerance import Unroutable
 
@@ -68,7 +70,7 @@ def parse_topology(spec: str):
         if kind == "torus":
             k, n = (int(p) for p in rest.split("x"))
             return KAryNCube(k, n)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad topology spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
         f"unknown topology kind {kind!r} (mesh/mesh3d/cube/torus)"
@@ -78,13 +80,14 @@ def parse_topology(spec: str):
 def parse_node(topology, text: str):
     """Parse a node address: comma-separated coordinates, or an integer
     (hypercubes accept binary with an ``0b`` prefix)."""
-    if isinstance(topology, Hypercube):
-        value = int(text, 0)
-        if not topology.is_node(value):
-            raise argparse.ArgumentTypeError(f"{text} is not a node")
-        return value
-    coords = tuple(int(p) for p in text.split(","))
-    node = coords if len(coords) > 1 else coords[0]
+    try:
+        if isinstance(topology, Hypercube):
+            node = int(text, 0)
+        else:
+            coords = tuple(int(p) for p in text.split(","))
+            node = coords if len(coords) > 1 else coords[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not a node ({exc})") from exc
     if not topology.is_node(node):
         raise argparse.ArgumentTypeError(f"{text} is not a node")
     return node
@@ -218,7 +221,10 @@ def cmd_faults(args) -> int:
 
     topology = parse_topology(args.topology)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    rates = [float(r) for r in args.fault_rates.split(",")]
+    try:
+        rates = [float(r) for r in args.fault_rates.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad --fault-rates {args.fault_rates!r}: {exc}") from exc
     cfg = SimConfig(
         num_messages=args.messages,
         num_destinations=args.dests,
@@ -855,7 +861,7 @@ def main(argv=None) -> int:
         print("run `python -m repro algorithms` for the full catalogue",
               file=sys.stderr)
         return 2
-    except InvalidConfigError as exc:
+    except (InvalidConfigError, UnsupportedFaultModel, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Unroutable as exc:

@@ -62,6 +62,8 @@ from .sim.config import SimConfig
 from .sim.runner import (
     DynamicResult,
     FaultResult,
+    check_fault_model,
+    check_workload,
     run_dynamic,
     run_resilient,
 )
@@ -122,11 +124,12 @@ class SweepJob:
     """One dynamic-simulation point of a sweep.
 
     The scheme name is checked against :mod:`repro.registry` at
-    construction, so a typo or a non-simulable scheme fails in the
-    driving process before any worker fans out.  ``runner`` selects the
-    driver: ``"dynamic"`` (:func:`repro.sim.runner.run_dynamic`) or
-    ``"resilient"`` (:func:`repro.sim.runner.run_resilient`, fault
-    injection + retry)."""
+    construction, so a typo, a non-simulable scheme, a destination count
+    the topology cannot supply or a fault-injected scheme the fault
+    model does not cover fails in the driving process before any worker
+    fans out.  ``runner`` selects the driver: ``"dynamic"``
+    (:func:`repro.sim.runner.run_dynamic`) or ``"resilient"``
+    (:func:`repro.sim.runner.run_resilient`, fault injection + retry)."""
 
     topology: Topology
     scheme: str
@@ -149,6 +152,9 @@ class SweepJob:
             raise ValueError(
                 f"unknown runner {self.runner!r} (expected 'dynamic' or 'resilient')"
             )
+        check_workload(self.topology, self.config)
+        if self.runner == "resilient":
+            check_fault_model(self.scheme)
 
 
 @dataclass(frozen=True)

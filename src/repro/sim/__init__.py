@@ -21,7 +21,6 @@ from .faults import (
     FaultEvent,
     FaultPlan,
     FaultState,
-    FaultyWormholeNetwork,
     derive_fault_seed,
 )
 from .saf import SAFNetwork
@@ -30,6 +29,7 @@ from .runner import (
     DeadlockDetected,
     FaultResult,
     MixedResult,
+    UnsupportedFaultModel,
     inject_specs,
     run_mixed,
     run_resilient,
@@ -57,7 +57,6 @@ __all__ = [
     "FaultPlan",
     "FaultResult",
     "FaultState",
-    "FaultyWormholeNetwork",
     "LegacyEnvironment",
     "MixedResult",
     "Event",
@@ -75,6 +74,7 @@ __all__ = [
     "VCTTreeMulticast",
     "VCTTreeSpec",
     "TreeWorm",
+    "UnsupportedFaultModel",
     "VCTWorm",
     "WormholeNetwork",
     "batch_means",

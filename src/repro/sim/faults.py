@@ -6,7 +6,7 @@ lets links and nodes fail *while worms are in flight*, which is the
 evaluation axis the NoC successors of this work study (delivery ratio
 and latency vs. fault rate).
 
-Three pieces:
+Two pieces:
 
 * :class:`FaultPlan` — a seeded, immutable schedule of
   :class:`FaultEvent` link/node failures (and, for transient faults,
@@ -18,14 +18,13 @@ Three pieces:
   Installing a state schedules its plan's events on the kernel
   calendar; each failure toggles the sets and kills the worms holding
   channels on the failed element.
-* :class:`FaultyWormholeNetwork` + the fault-aware worm subclasses —
-  a faulted channel rejects flit acquisition (the acquiring worm is
-  dropped and counted), adaptive worms detour around faulted candidate
-  channels at simulation time, and in-flight worms on a failing link
-  are killed, releasing every channel they hold (so a fault never
-  wedges the rest of the network).
 
-Dropped worms report to the network's ``drop_handler``; the resilient
+What a fault does to a worm lives with the worms themselves: a
+:class:`~repro.sim.reference.WormholeNetwork` built with a
+:class:`FaultState` refuses faulted channels, lets adaptive worms
+detour, and kills in-flight worms on a failing element, releasing every
+channel they hold (so a fault never wedges the rest of the network).
+Killed worms report to the network's ``drop_handler``; the resilient
 driver (:func:`repro.sim.runner.run_resilient`) uses that to implement
 source-level retransmission with bounded retries and exponential
 backoff on kernel :class:`~repro.sim.kernel.Timeout` events.
@@ -36,17 +35,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Hashable
+from typing import TYPE_CHECKING
 
 from .config import SimConfig
-from .kernel import Environment
-from .reference import AdaptivePathWorm, PathWorm, TreeWorm, WormholeNetwork
-from .stats import SimStats
+
+if TYPE_CHECKING:
+    from .reference import WormholeNetwork
 
 __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultState",
-    "FaultyWormholeNetwork",
     "derive_fault_seed",
 ]
 
@@ -223,13 +222,13 @@ class FaultState:
         self._version = 0
         self._blocked_cache: tuple | None = None  # (version, frozenset)
 
-    def install(self, net: "FaultyWormholeNetwork") -> None:
+    def install(self, net: "WormholeNetwork") -> None:
         """Schedule every plan event on the network's calendar."""
         schedule = net.env.schedule
         for ev in self.plan.events:
             schedule(ev.time, self._apply, net, ev)
 
-    def _apply(self, net: "FaultyWormholeNetwork", ev: FaultEvent) -> None:
+    def _apply(self, net: "WormholeNetwork", ev: FaultEvent) -> None:
         self._version += 1
         self._blocked_cache = None
         group = self.down_links if ev.kind == "link" else self.down_nodes
@@ -291,319 +290,3 @@ class FaultState:
         blocked = frozenset(bad)
         self._blocked_cache = (self._version, blocked)
         return blocked
-
-
-class FaultyWormholeNetwork(WormholeNetwork):
-    """A :class:`WormholeNetwork` whose worms consult a
-    :class:`FaultState` and report drops.
-
-    With an empty fault plan the event sequence is identical to the
-    base network's (the fault checks never schedule anything), so a
-    ``fault_rate=0`` resilient run reproduces the plain dynamic run
-    bit for bit.
-    """
-
-    __slots__ = (
-        "fault_state", "stats", "live", "delivered_by_message",
-        "drop_handler", "origin_time",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        config: SimConfig,
-        fault_state: FaultState | None = None,
-        stats: SimStats | None = None,
-    ):
-        super().__init__(env, config)
-        self.fault_state = fault_state or FaultState()
-        self.stats = stats or SimStats()
-        #: worms in flight (registered by the faulty worm constructors).
-        #: A dict-as-ordered-set: iteration (and hence the kill order
-        #: when one fault hits several worms) follows injection order,
-        #: which is reproducible across processes — a plain
-        #: set would iterate in id() order, which is allocator-dependent
-        self.live: dict = {}
-        #: per-message set of destinations reached so far
-        self.delivered_by_message: dict = {}
-        #: ``fn(message_id, undelivered_dests, reason)`` invoked when a
-        #: worm is dropped; the resilient driver hooks retries here
-        self.drop_handler = None
-        #: when set, newly injected worms are stamped with this
-        #: injection time instead of ``env.now`` — retransmissions keep
-        #: the original message's injection time so delivery latency
-        #: spans the whole retry history
-        self.origin_time: float | None = None
-
-    def deliver(self, message_id: int, dest, injected_at: float) -> None:
-        # deduplicate: a retransmission can race a still-alive sibling
-        # worm of the same message (dual-path injects two), so only the
-        # first receipt of a (message, destination) pair counts
-        got = self.delivered_by_message.setdefault(message_id, set())
-        if dest in got:
-            return
-        got.add(dest)
-        self.stats.delivered += 1
-        super().deliver(message_id, dest, injected_at)
-
-    def finish(self, worm) -> None:
-        super().finish(worm)
-        self.live.pop(worm, None)
-
-    def on_element_failed(self, ev: FaultEvent) -> None:
-        """Kill every in-flight worm holding a channel on the failed
-        element (§'in-flight worms on a failing link are killed')."""
-        for worm in tuple(self.live):
-            if not worm.dead and not worm.arrived and worm.hit_by(ev):
-                self.kill_worm(worm, "link failed under worm" if ev.kind == "link"
-                               else "node failed under worm")
-
-    def kill_worm(self, worm, reason: str) -> None:
-        """Drop ``worm``: release everything it holds (waking waiters),
-        count its unreached destinations, and notify the drop handler."""
-        if worm.dead:
-            return
-        worm.dead = True
-        self.stats.killed_worms += 1
-        for ch in worm.held_channels():
-            self.release(ch)
-        dropped = worm.undelivered()
-        self.finish(worm)
-        if self.drop_handler is not None:
-            self.drop_handler(worm.message_id, dropped, reason)
-
-
-# ----------------------------------------------------------------------
-# Fault-aware worms.  Each adds three capabilities to its base class:
-# a ``dead`` flag silencing the prebound callbacks after a kill, a
-# fault check before every channel acquisition, and enough bookkeeping
-# (``delivered``, held channels) for the kill path to account losses.
-# ----------------------------------------------------------------------
-
-
-class FaultyPathWorm(PathWorm):
-    """A :class:`PathWorm` that dies on faulted channels."""
-
-    __slots__ = ("dead", "arrived", "delivered")
-
-    def __init__(self, net, message_id, nodes, channels, dests):
-        super().__init__(net, message_id, nodes, channels, dests)
-        self.dead = False
-        self.arrived = False
-        self.delivered: set = set()
-        if net.origin_time is not None:
-            self.injected_at = net.origin_time
-        net.live[self] = None
-
-    def _try_advance(self) -> None:
-        if self.dead:
-            return
-        ch = self.channels[self.idx]
-        if self.net.fault_state.channel_down(ch.key):
-            self.net.kill_worm(self, "faulted channel on fixed path")
-            return
-        PathWorm._try_advance(self)
-
-    def _arrived(self) -> None:
-        if self.dead:
-            return
-        if self.idx >= self.num_channels:
-            self.arrived = True
-        PathWorm._arrived(self)
-
-    def _release(self, i: int) -> None:
-        if self.dead:
-            return
-        PathWorm._release(self, i)
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.delivered.add(head)
-
-    def held_channels(self):
-        return self.channels[max(0, self.idx - self.flits) : self.idx]
-
-    def undelivered(self) -> set:
-        return set(self.dests) - self.delivered
-
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        if self.nodes[self.idx] == node:  # header currently at the node
-            return True
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
-
-
-class FaultyAdaptivePathWorm(AdaptivePathWorm):
-    """An :class:`AdaptivePathWorm` that detours around faulted
-    candidate channels at simulation time and dies only when every
-    admissible candidate is faulted."""
-
-    __slots__ = ("dead", "arrived", "delivered")
-
-    def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
-        super().__init__(net, message_id, source, dest_queue, labeling, channel_key, capacity)
-        self.dead = False
-        self.arrived = False
-        self.delivered: set = set()
-        if net.origin_time is not None:
-            self.injected_at = net.origin_time
-        net.live[self] = None
-
-    def _try_advance(self) -> None:
-        if self.dead:
-            return
-        state = self.net.fault_state
-        if not state.any_down:
-            AdaptivePathWorm._try_advance(self)
-            return
-        cur = self.nodes[-1]
-        target = self.queue[0]
-        candidates = self.labeling.route_candidates(cur, target)
-        alive = [p for p in candidates if not state.link_down(cur, p)]
-        detouring = len(alive) < len(candidates)
-        if detouring and not alive:
-            # widen to the full monotone pool, as the static
-            # fault-tolerant router does (still deadlock-free)
-            alive = [
-                p
-                for p in self.labeling.monotone_candidates(cur, target)
-                if not state.link_down(cur, p)
-            ]
-            if not alive:
-                self.net.kill_worm(self, "all monotone candidates faulted")
-                return
-        chosen = None
-        for p in alive:
-            ch = self.net.channel(self.channel_key(cur, p), self.capacity)
-            if ch.free:
-                chosen = (p, ch)
-                break
-        if chosen is None:
-            # block on the most-preferred *alive* candidate; the fault
-            # check reruns on wake-up in case the fault set changed
-            ch = self.net.channel(self.channel_key(cur, alive[0]), self.capacity)
-            ch.waiters.append(self._advance)
-            return
-        if detouring:
-            self.net.stats.detoured += 1
-        nxt, ch = chosen
-        ch.acquire()
-        self.channels.append(ch)
-        self.nodes.append(nxt)
-        i = len(self.channels) - 1
-        if i - self.flits >= 0:
-            self._release(i - self.flits)
-        self.env.schedule(self.tf, self._arrive)
-
-    def _arrived(self) -> None:
-        if self.dead:
-            return
-        # mirror the base transition: arrival is final once every
-        # destination has been reached (pop before delegating so we can
-        # observe the final state; _pop_reached is idempotent)
-        self._pop_reached()
-        if not self.queue:
-            self.arrived = True
-        AdaptivePathWorm._arrived(self)
-
-    def _release(self, i: int) -> None:
-        if self.dead:
-            return
-        AdaptivePathWorm._release(self, i)
-        head = self.nodes[i + 1]
-        if head in self.dests:
-            self.delivered.add(head)
-
-    def held_channels(self):
-        return self.channels[max(0, len(self.channels) - self.flits) :]
-
-    def undelivered(self) -> set:
-        return set(self.dests) - self.delivered
-
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        if self.nodes[-1] == node:
-            return True
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
-
-
-class FaultyTreeWorm(TreeWorm):
-    """A lockstep :class:`TreeWorm` under faults: the nCUBE-2 rule
-    needs *every* channel of the next level, so a faulted channel at
-    any level kills the whole tree."""
-
-    __slots__ = ("dead", "arrived", "delivered")
-
-    def __init__(self, net, message_id, chan_levels, head_levels):
-        super().__init__(net, message_id, chan_levels, head_levels)
-        self.dead = False
-        self.arrived = False
-        self.delivered: set = set()
-        if net.origin_time is not None:
-            self.injected_at = net.origin_time
-        net.live[self] = None
-
-    def _try_tick(self) -> None:
-        if self.dead:
-            return
-        state = self.net.fault_state
-        if state.any_down:
-            for ch in self.chan_levels[self.k]:
-                if state.channel_down(ch.key):
-                    self.net.kill_worm(self, "faulted channel in tree level")
-                    return
-        TreeWorm._try_tick(self)
-
-    def _tick_done(self) -> None:
-        if self.dead:
-            return
-        if self.k >= len(self.chan_levels):
-            self.arrived = True
-        TreeWorm._tick_done(self)
-
-    def _release_level(self, idx: int) -> None:
-        if self.dead:
-            return
-        TreeWorm._release_level(self, idx)
-        self.delivered.update(self.dest_levels[idx])
-
-    def held_channels(self):
-        out = []
-        for level in self.chan_levels[max(0, self.k - self.flits) : self.k]:
-            out.extend(level)
-        return out
-
-    def undelivered(self) -> set:
-        out: set = set()
-        for dests in self.dest_levels:
-            out.update(dests)
-        return out - self.delivered
-
-    def hit_by(self, ev: FaultEvent) -> bool:
-        if ev.kind == "link":
-            u, v = ev.target
-            return any(
-                ch.key[0] == u and ch.key[1] == v for ch in self.held_channels()
-            )
-        node = ev.target
-        return any(
-            ch.key[0] == node or ch.key[1] == node for ch in self.held_channels()
-        )
-
-
-FaultyWormholeNetwork.path_worm_cls = FaultyPathWorm
-FaultyWormholeNetwork.adaptive_worm_cls = FaultyAdaptivePathWorm
-FaultyWormholeNetwork.tree_worm_cls = FaultyTreeWorm

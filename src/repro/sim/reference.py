@@ -27,6 +27,16 @@ Channel identity is an arbitrary hashable key, so callers can model
 double channels either as one pooled channel of capacity 2 (path
 routing on a double-channel network) or as per-subnetwork copies
 (``(u, v, quadrant)`` for the double-channel X-first tree).
+
+Faults are part of the same model.  A network built with a
+:class:`~repro.sim.faults.FaultState` checks it before every channel
+acquisition: a path or tree worm whose next channel is down is killed,
+and an adaptive worm detours around down candidates (widening to the
+monotone candidates), dying only when none is left.  A failing element
+kills the worms holding channels on it, in injection order; a killed
+worm releases what it holds and reports its undelivered destinations to
+the network's ``drop_handler``.  Without a fault state none of this
+bookkeeping runs.
 """
 
 from __future__ import annotations
@@ -34,9 +44,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Hashable, Sequence
+from typing import TYPE_CHECKING
 
 from .config import SimConfig
 from .kernel import Environment
+from .stats import SimStats
+
+if TYPE_CHECKING:
+    from .faults import FaultEvent, FaultState
 
 
 class Channel:
@@ -76,27 +91,47 @@ class Delivery:
 class WormholeNetwork:
     """The shared channel state plus bookkeeping for worms in flight.
 
-    The worm classes are class attributes (bound after their
-    definitions below) so a subclass can substitute fault-aware worms
-    without re-implementing the injection methods —
-    :class:`repro.sim.faults.FaultyWormholeNetwork` does exactly that.
+    ``fault_state`` (optional) makes the network fault-aware: worms
+    consult it before acquiring a channel, in-flight worms on a failing
+    element are killed, and each message's destinations are delivered
+    at most once (a retransmission may race a live sibling worm).
     """
 
-    __slots__ = ("env", "config", "channels", "active_worms", "total_worms", "deliveries", "_blocked")
+    __slots__ = (
+        "env", "config", "channels", "active_worms", "total_worms", "deliveries",
+        "fault_state", "stats", "live", "reached", "drop_handler", "origin_time",
+    )
 
-    #: worm classes used by the inject_* methods (overridable).
-    path_worm_cls: type
-    adaptive_worm_cls: type
-    tree_worm_cls: type
-
-    def __init__(self, env: Environment, config: SimConfig):
+    def __init__(
+        self,
+        env: Environment,
+        config: SimConfig,
+        fault_state: "FaultState | None" = None,
+        stats: SimStats | None = None,
+    ):
         self.env = env
         self.config = config
         self.channels: dict = {}
         self.active_worms = 0
         self.total_worms = 0
         self.deliveries: list[Delivery] = []
-        self._blocked: list = []
+        self.fault_state = fault_state
+        #: fault counters (kills, detours, fault events)
+        self.stats = stats if stats is not None else SimStats()
+        #: worms a fault can still kill (kept only under faults), as a
+        #: dict-as-ordered-set so kills follow injection order (a set
+        #: would iterate in allocator-dependent id() order)
+        self.live: dict = {}
+        #: per-message set of destinations reached so far (kept only
+        #: under faults)
+        self.reached: dict[int, set] = {}
+        #: ``fn(message_id, undelivered_dests, reason)`` invoked when a
+        #: worm is killed; the resilient driver hooks retries here
+        self.drop_handler = None
+        #: when set, new worms are stamped with this injection time
+        #: instead of ``env.now``: a retransmission keeps its message's
+        #: original time, so latency spans the whole retry history
+        self.origin_time: float | None = None
 
     def channel(self, key: Hashable, capacity: int | None = None) -> Channel:
         ch = self.channels.get(key)
@@ -118,6 +153,11 @@ class WormholeNetwork:
                 self.env.schedule(0.0, retry)
 
     def deliver(self, message_id: int, dest, injected_at: float) -> None:
+        if self.fault_state is not None:
+            got = self.reached.setdefault(message_id, set())
+            if dest in got:
+                return
+            got.add(dest)
         self.deliveries.append(
             Delivery(message_id, dest, injected_at, self.env.now)
         )
@@ -147,13 +187,7 @@ class WormholeNetwork:
             if ch is None:
                 ch = channels[key] = Channel(key, cap)
             chans.append(ch)
-        worm = self.path_worm_cls(self, message_id, list(nodes), chans, destinations)
-        if flits is not None:
-            worm.flits = flits
-        self.active_worms += 1
-        self.total_worms += 1
-        worm.start()
-        return worm
+        return self._launch(PathWorm(self, message_id, list(nodes), chans, destinations), flits)
 
     def inject_adaptive_path(
         self,
@@ -170,13 +204,9 @@ class WormholeNetwork:
         minimal-adaptive extension).  ``destinations`` must be
         label-sorted in travel order (as produced by
         ``split_high_low``)."""
-        worm = self.adaptive_worm_cls(
+        return self._launch(AdaptivePathWorm(
             self, message_id, source, list(destinations), labeling, channel_key, capacity
-        )
-        self.active_worms += 1
-        self.total_worms += 1
-        worm.start()
-        return worm
+        ))
 
     def inject_tree(
         self,
@@ -194,9 +224,15 @@ class WormholeNetwork:
             for level in levels
         ]
         head_levels = [[arc[1] for arc in level] for level in levels]
-        worm = self.tree_worm_cls(self, message_id, chan_levels, head_levels)
+        return self._launch(TreeWorm(self, message_id, chan_levels, head_levels), flits)
+
+    def _launch(self, worm, flits: int | None = None):
         if flits is not None:
             worm.flits = flits
+        if self.fault_state is not None:
+            self.live[worm] = None
+            if self.origin_time is not None:
+                worm.injected_at = self.origin_time
         self.active_worms += 1
         self.total_worms += 1
         worm.start()
@@ -204,6 +240,42 @@ class WormholeNetwork:
 
     def finish(self, worm) -> None:
         self.active_worms -= 1
+        if self.fault_state is not None:
+            self.live.pop(worm, None)
+
+    def on_element_failed(self, ev: "FaultEvent") -> None:
+        """Kill every live worm whose header sits on the failed node or
+        that holds a channel on the failed element."""
+        reason = f"{ev.kind} failed under worm"
+        if ev.kind == "link":
+            u, v = ev.target
+            for worm in tuple(self.live):
+                if not worm.dead and any(
+                    ch.key[0] == u and ch.key[1] == v for ch in worm.held_channels()
+                ):
+                    self.kill_worm(worm, reason)
+            return
+        node = ev.target
+        for worm in tuple(self.live):
+            if not worm.dead and (
+                worm.header() == node
+                or any(ch.key[0] == node or ch.key[1] == node for ch in worm.held_channels())
+            ):
+                self.kill_worm(worm, reason)
+
+    def kill_worm(self, worm, reason: str) -> None:
+        """Drop ``worm``: release everything it holds (waking waiters),
+        count its unreached destinations, and notify the drop handler."""
+        if worm.dead:
+            return
+        worm.dead = True
+        self.stats.killed_worms += 1
+        for ch in worm.held_channels():
+            self.release(ch)
+        dropped = worm.undelivered()
+        self.finish(worm)
+        if self.drop_handler is not None:
+            self.drop_handler(worm.message_id, dropped, reason)
 
     def run_to_completion(self, until: float | None = None) -> bool:
         """Run the calendar dry.  Returns True if every worm finished;
@@ -217,7 +289,7 @@ class PathWorm:
 
     __slots__ = (
         "net", "env", "message_id", "nodes", "channels", "num_channels",
-        "dests", "injected_at", "idx", "flits", "tf", "blocked_on",
+        "dests", "injected_at", "idx", "flits", "tf", "faults", "dead",
         "_advance", "_arrive", "_rel", "_sched",
     )
 
@@ -233,7 +305,8 @@ class PathWorm:
         self.idx = 0  # next channel index to acquire
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
-        self.blocked_on: Channel | None = None
+        self.faults = net.fault_state
+        self.dead = False
         # prebound callbacks: the advance loop schedules these once per
         # hop/flit, and binding them here avoids a method-object
         # allocation per event
@@ -249,11 +322,15 @@ class PathWorm:
         self._try_advance()
 
     def _try_advance(self) -> None:
-        self.blocked_on = None
+        if self.dead:
+            return
         i = self.idx
         ch = self.channels[i]
+        faults = self.faults
+        if faults is not None and faults.channel_down(ch.key):
+            self.net.kill_worm(self, "faulted channel on fixed path")
+            return
         if ch.in_use >= ch.capacity:
-            self.blocked_on = ch
             ch.waiters.append(self._advance)
             return
         ch.in_use += 1
@@ -264,9 +341,13 @@ class PathWorm:
         self._sched(self.tf, self._arrive)
 
     def _arrived(self) -> None:
+        if self.dead:
+            return
         if self.idx < self.num_channels:
             self._try_advance()
             return
+        if self.faults is not None:
+            self.net.live.pop(self, None)  # past the reach of faults
         # header consumed at the final node; remaining flits drain at
         # one per flit time, releasing held channels oldest-first.
         D = self.num_channels
@@ -286,6 +367,19 @@ class PathWorm:
     def _finished(self) -> None:
         self.net.finish(self)
 
+    # fault accounting (the kill path; see WormholeNetwork.kill_worm)
+
+    def header(self):
+        return self.nodes[self.idx]
+
+    def held_channels(self) -> list:
+        return self.channels[max(0, self.idx - self.flits) : self.idx]
+
+    def undelivered(self) -> set:
+        # channel i is released (and nodes[i + 1] delivered) once the
+        # header is F channels further on
+        return set(self.dests).difference(self.nodes[1 : max(0, self.idx - self.flits) + 1])
+
 
 class AdaptivePathWorm:
     """A path worm with per-hop adaptive channel selection (§8.2).
@@ -297,13 +391,15 @@ class AdaptivePathWorm:
     blocks — on the deterministic R choice — when all are busy.
     Monotonicity keeps every dependency inside the acyclic high/low
     subnetwork, so adaptivity does not compromise deadlock freedom.
+    Under faults, down candidates are skipped (widening to every
+    monotone candidate when all preferred ones are down).
     Release and delivery timing mirror :class:`PathWorm`.
     """
 
     __slots__ = (
         "net", "env", "message_id", "labeling", "channel_key", "capacity",
         "nodes", "channels", "queue", "dests", "injected_at", "flits", "tf",
-        "_advance", "_arrive", "_rel",
+        "faults", "dead", "_advance", "_arrive", "_rel",
     )
 
     def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
@@ -320,6 +416,8 @@ class AdaptivePathWorm:
         self.injected_at = net.env.now
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
+        self.faults = net.fault_state
+        self.dead = False
         self._advance = self._try_advance
         self._arrive = self._arrived
         self._rel = self._release
@@ -337,21 +435,41 @@ class AdaptivePathWorm:
             self.queue.pop(0)
 
     def _try_advance(self) -> None:
+        if self.dead:
+            return
         cur = self.nodes[-1]
         target = self.queue[0]
         candidates = self.labeling.route_candidates(cur, target)
-        chosen = None
-        for p in candidates:
-            ch = self.net.channel(self.channel_key(cur, p), self.capacity)
+        faults = self.faults
+        detouring = False
+        if faults is not None and faults.any_down:
+            alive = [p for p in candidates if not faults.link_down(cur, p)]
+            detouring = len(alive) < len(candidates)
+            if not alive:
+                # widen to the full monotone pool, as the static
+                # fault-tolerant router does (still deadlock-free)
+                alive = [
+                    p
+                    for p in self.labeling.monotone_candidates(cur, target)
+                    if not faults.link_down(cur, p)
+                ]
+                if not alive:
+                    self.net.kill_worm(self, "all monotone candidates faulted")
+                    return
+            candidates = alive
+        for nxt in candidates:
+            ch = self.net.channel(self.channel_key(cur, nxt), self.capacity)
             if ch.free:
-                chosen = (p, ch)
                 break
-        if chosen is None:
-            # block on the deterministic R choice
+        else:
+            # block on the most-preferred (live) candidate, the
+            # deterministic R choice when nothing is down; the fault
+            # check reruns on wake-up
             ch = self.net.channel(self.channel_key(cur, candidates[0]), self.capacity)
             ch.waiters.append(self._advance)
             return
-        nxt, ch = chosen
+        if detouring:
+            self.net.stats.detoured += 1
         ch.acquire()
         self.channels.append(ch)
         self.nodes.append(nxt)
@@ -361,10 +479,14 @@ class AdaptivePathWorm:
         self.env.schedule(self.tf, self._arrive)
 
     def _arrived(self) -> None:
+        if self.dead:
+            return
         self._pop_reached()
         if self.queue:
             self._try_advance()
             return
+        if self.faults is not None:
+            self.net.live.pop(self, None)  # past the reach of faults
         D = len(self.channels)
         F = self.flits
         for i in range(max(0, D - F), D):
@@ -380,14 +502,26 @@ class AdaptivePathWorm:
     def _finished(self) -> None:
         self.net.finish(self)
 
+    def header(self):
+        return self.nodes[-1]
+
+    def held_channels(self) -> list:
+        return self.channels[max(0, len(self.channels) - self.flits) :]
+
+    def undelivered(self) -> set:
+        released = max(0, len(self.channels) - self.flits)
+        return self.dests.difference(self.nodes[1 : released + 1])
+
 
 class TreeWorm:
     """A lockstep tree worm: all channels of the next depth level must
-    be free before the frontier advances (§6.1)."""
+    be free before the frontier advances (§6.1).  Under faults the
+    nCUBE-2 rule needs *every* channel of the next level, so a down
+    channel at any level kills the whole tree."""
 
     __slots__ = (
         "net", "env", "message_id", "chan_levels", "head_levels",
-        "dest_levels", "injected_at", "k", "flits", "tf",
+        "dest_levels", "injected_at", "k", "flits", "tf", "faults", "dead",
         "_tick", "_done", "_rel",
     )
 
@@ -403,6 +537,8 @@ class TreeWorm:
         self.k = 0  # next level to acquire
         self.flits = net.config.flits_per_message
         self.tf = net.config.flit_time
+        self.faults = net.fault_state
+        self.dead = False
         self._tick = self._try_tick
         self._done = self._tick_done
         self._rel = self._release_level
@@ -414,7 +550,15 @@ class TreeWorm:
         self._try_tick()
 
     def _try_tick(self) -> None:
+        if self.dead:
+            return
         level = self.chan_levels[self.k]
+        faults = self.faults
+        if faults is not None and faults.any_down:
+            for ch in level:
+                if faults.channel_down(ch.key):
+                    self.net.kill_worm(self, "faulted channel in tree level")
+                    return
         for ch in level:
             if not ch.free:
                 ch.waiters.append(self._tick)
@@ -428,9 +572,13 @@ class TreeWorm:
         self.env.schedule(self.tf, self._done)
 
     def _tick_done(self) -> None:
+        if self.dead:
+            return
         if self.k < len(self.chan_levels):
             self._try_tick()
             return
+        if self.faults is not None:
+            self.net.live.pop(self, None)  # past the reach of faults
         L = len(self.chan_levels)
         F = self.flits
         for idx in range(max(0, L - F), L):
@@ -446,7 +594,13 @@ class TreeWorm:
     def _finished(self) -> None:
         self.net.finish(self)
 
+    def header(self):
+        return None  # a frontier, not one header: held channels decide
 
-WormholeNetwork.path_worm_cls = PathWorm
-WormholeNetwork.adaptive_worm_cls = AdaptivePathWorm
-WormholeNetwork.tree_worm_cls = TreeWorm
+    def held_channels(self) -> list:
+        held = self.chan_levels[max(0, self.k - self.flits) : self.k]
+        return [ch for level in held for ch in level]
+
+    def undelivered(self) -> set:
+        released = max(0, self.k - self.flits)
+        return set().union(*self.dest_levels).difference(*self.dest_levels[:released])

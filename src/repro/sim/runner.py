@@ -6,6 +6,11 @@ and uniform destination sets, messages are routed by the scheme under
 test and injected as worms, and average per-destination network latency
 is summarised by batch means.
 
+:func:`run_resilient` (fault injection with source retry) and
+:func:`run_mixed` (§8.2's unicast/multicast mix) run the same traffic
+loop — one Poisson arrival process and one finish step — and differ
+only in what they do per message.
+
 :func:`run_static_scenario` injects a fixed set of multicasts at time
 zero and reports whether they complete — the §6.1 deadlock
 demonstrations run through it.
@@ -21,11 +26,12 @@ import random
 from dataclasses import dataclass
 
 from ..models.request import MulticastRequest
+from ..registry import get as get_spec
 from ..retry import backoff_delay
 from ..topology.base import Topology
 from ..wormhole.fault_tolerance import Unroutable
-from .config import SimConfig
-from .faults import FaultPlan, FaultState, FaultyWormholeNetwork
+from .config import InvalidConfigError, SimConfig
+from .faults import FaultPlan, FaultState
 from .kernel import Environment, Timeout
 from .reference import WormholeNetwork
 from .stats import SimStats, Summary, batch_means
@@ -107,13 +113,102 @@ def inject_specs(net, message_id: int, specs, capacity: int, router: "Router | N
             raise TypeError(f"unknown worm spec {spec!r}")
 
 
-def _make_router(topology, scheme, config, fault_state=None) -> Router:
-    return Router(
-        topology,
-        scheme,
-        channels_per_link=config.channels_per_link,
-        fault_state=fault_state,
-    )
+class UnsupportedFaultModel(ValueError):
+    """The scheme's worms have no fault hooks, so a fault-injected run
+    would silently ignore its faults."""
+
+
+#: worm styles whose worms (PathWorm, AdaptivePathWorm, TreeWorm)
+#: honour a FaultState; vct-tree's buffered VCT worms do not
+FAULT_WORM_STYLES = frozenset({"star", "vc-star", "adaptive", "tree", "xfirst-tree"})
+
+
+def check_fault_model(scheme: str) -> None:
+    """Raise :class:`UnsupportedFaultModel` unless the fault model
+    covers ``scheme``'s worms."""
+    style = get_spec(scheme).worm_style
+    if style not in FAULT_WORM_STYLES:
+        raise UnsupportedFaultModel(
+            f"scheme {scheme!r} (worm style {style!r}) is not covered by the "
+            f"fault model; fault-aware styles: {', '.join(sorted(FAULT_WORM_STYLES))}"
+        )
+
+
+def check_workload(topology: Topology, config: SimConfig) -> None:
+    """Raise :class:`InvalidConfigError` when ``topology`` has too few
+    nodes for ``config.num_destinations`` distinct destinations other
+    than the source (the destination draw could never finish)."""
+    n = topology.num_nodes
+    if config.num_destinations > n - 1:
+        raise InvalidConfigError(
+            f"SimConfig.num_destinations = {config.num_destinations}: {topology} "
+            f"has {n} nodes, so a multicast can reach at most {n - 1}"
+        )
+
+
+def _poisson_traffic(env: Environment, topology: Topology, config: SimConfig, rng, emit) -> None:
+    """Schedule the §7.2 workload on ``env``: every node generates
+    messages with exponential gaps until ``config.num_messages`` have
+    been generated in total (so a run that drains injects exactly that
+    many), numbering them 1, 2, ... in generation order.
+
+    ``emit(message_id, source, draw)`` injects one message;
+    ``draw(source, k=config.num_destinations)`` returns ``k`` distinct
+    uniform destinations other than ``source``, in index order.  Each
+    message's draws come before the source's next gap, so the RNG draw
+    order is fixed by the driver's ``emit`` alone.
+    """
+    check_workload(topology, config)
+    nodes = list(topology.nodes())
+    n = len(nodes)
+    num_destinations = config.num_destinations
+    # hot-loop locals: the workload generator runs once per message
+    randrange = rng.randrange
+    expovariate = rng.expovariate
+    arrival_rate = 1.0 / config.mean_interarrival
+    num_messages = config.num_messages
+    index_map = topology.index_map()
+    schedule = env.schedule
+    injected = 0
+
+    def draw(source, k=num_destinations):
+        chosen: set = set()
+        src_i = index_map[source]
+        while len(chosen) < k:
+            i = randrange(n)
+            if i != src_i:
+                chosen.add(i)
+        return tuple(nodes[i] for i in sorted(chosen))
+
+    def arrive(node):
+        nonlocal injected
+        if injected >= num_messages:
+            return
+        injected += 1
+        emit(injected, node, draw)
+        schedule(expovariate(arrival_rate), arrive, node)
+
+    for node in nodes:
+        schedule(expovariate(arrival_rate), arrive, node)
+
+
+def _drain(net: WormholeNetwork, config: SimConfig) -> list:
+    """Run the calendar dry and return the post-warm-up deliveries.
+
+    Raises :class:`DeadlockDetected` if the network wedges (only
+    possible for the deliberately deadlock-prone tree schemes on single
+    channels)."""
+    if not net.run_to_completion():
+        raise DeadlockDetected(
+            f"{net.active_worms} worms blocked with an empty event calendar"
+        )
+    cutoff = config.num_messages * config.warmup_fraction
+    return [d for d in net.deliveries if d.message_id > cutoff]
+
+
+def _summary(latencies: list) -> Summary:
+    """Batch means, or an empty summary when nothing was delivered."""
+    return batch_means(latencies) if latencies else Summary(float("nan"), float("inf"), 0, 0)
 
 
 def run_dynamic(
@@ -136,58 +231,22 @@ def run_dynamic(
     """
     env = env_factory()
     net = WormholeNetwork(env, config)
-    rng = random.Random(config.seed)
-    router = router or _make_router(topology, scheme, config)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
+    router = router or Router(topology, scheme, channels_per_link=config.channels_per_link)
     # capacity for path worms: pooled double channels when the network
     # is double-channel; tree worms always use their own tagged copies.
     path_capacity = config.channels_per_link
 
-    # hot-loop locals: the workload generator runs once per message.
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
-    index_map = topology.index_map()
-    schedule = env.schedule
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
-
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
+    def emit(mid, source, draw):
         # destinations are drawn from the node set, distinct and never
         # the source — the trusted constructor skips re-checking that.
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
+        request = MulticastRequest.trusted(topology, source, draw(source))
         inject_specs(net, mid, router(request), path_capacity, router)
-        schedule(expovariate(arrival_rate), inject_from, node)
 
-    for node in nodes:
-        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
-
-    completed = net.run_to_completion()
-    if not completed:
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    latencies = [d.latency for d in net.deliveries if d.message_id > cutoff]
+    _poisson_traffic(env, topology, config, random.Random(config.seed), emit)
+    kept = _drain(net, config)
     return DynamicResult(
-        latency=batch_means(latencies),
-        injected_messages=state["injected"],
+        latency=_summary([d.latency for d in kept]),
+        injected_messages=config.num_messages,
         deliveries=len(net.deliveries),
         sim_time=env.now,
         worms=net.total_worms,
@@ -240,32 +299,26 @@ def run_resilient(
     currently-down channels, both at the source (static reroute) and —
     for the adaptive scheme — per hop at simulation time.
 
-    The injection loop duplicates :func:`run_dynamic`'s RNG draw order
-    exactly and the fault schedule uses an independent RNG, so with
-    zero fault rates the result matches :func:`run_dynamic` event for
-    event (the parity suite asserts this).
+    Raises :class:`UnsupportedFaultModel` for a scheme whose worms have
+    no fault hooks (``vct-tree``).  The traffic is
+    :func:`run_dynamic`'s (same arrival process and RNG) and the fault
+    schedule uses an independent RNG, so with zero fault rates the
+    result matches :func:`run_dynamic` event for event (the parity
+    suite asserts this).
     """
     if plan is None:
         plan = FaultPlan.from_config(topology, config)
     env = Environment()
     stats = SimStats()
     fault_state = FaultState(plan)
-    net = FaultyWormholeNetwork(env, config, fault_state, stats)
-    rng = random.Random(config.seed)
-    router = _make_router(topology, scheme, config, fault_state)
-    fault_state.install(net)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
+    net = WormholeNetwork(env, config, fault_state, stats)
+    router = Router(
+        topology, scheme, channels_per_link=config.channels_per_link, fault_state=fault_state
+    )
+    check_fault_model(scheme)
+    fault_state.install(net)  # fault events precede arrivals on the calendar
     path_capacity = config.channels_per_link
-
-    randrange = rng.randrange
-    expovariate = rng.expovariate
-    arrival_rate = 1.0 / config.mean_interarrival
-    num_messages = config.num_messages
-    k = config.num_destinations
     index_map = topology.index_map()
-    schedule = env.schedule
 
     # per-message delivery obligations and retry bookkeeping
     expected: dict[int, frozenset] = {}
@@ -273,15 +326,6 @@ def run_resilient(
     origins: dict = {}
     attempts: dict = {}
     pending_retry: set = set()
-
-    def draw_destinations(source):
-        chosen: set = set()
-        src_i = index_map[source]
-        while len(chosen) < k:
-            i = randrange(n)
-            if i != src_i:
-                chosen.add(i)
-        return tuple(nodes[i] for i in sorted(chosen))
 
     def handle_drop(message_id, dropped, reason):
         # coalesce: dual-path injects two worms per message, and both
@@ -300,74 +344,53 @@ def run_resilient(
             lambda ev, mid=message_id: retry(mid)
         )
 
+    def send(mid, dests):
+        request = MulticastRequest.trusted(topology, sources[mid], dests)
+        try:
+            inject_specs(net, mid, router(request), path_capacity, router)
+        except Unroutable:
+            stats.injection_failures += 1
+            handle_drop(mid, dests, "unroutable")
+
     def retry(message_id):
         pending_retry.discard(message_id)
-        remaining = expected[message_id] - net.delivered_by_message.get(
-            message_id, set()
-        )
+        remaining = expected[message_id] - net.reached.get(message_id, set())
         if not remaining:
             return
-        source = sources[message_id]
-        if fault_state.node_down(source):
+        if fault_state.node_down(sources[message_id]):
             # the source itself is down; burn the attempt and re-arm
             handle_drop(message_id, remaining, "source node down")
             return
         stats.retries += 1
-        request = MulticastRequest.trusted(
-            topology,
-            source,
-            tuple(sorted(remaining, key=index_map.__getitem__)),
-        )
         net.origin_time = origins[message_id]
         try:
-            inject_specs(net, message_id, router(request), path_capacity, router)
-        except Unroutable:
-            stats.injection_failures += 1
-            handle_drop(message_id, remaining, "unroutable")
+            send(message_id, tuple(sorted(remaining, key=index_map.__getitem__)))
         finally:
             net.origin_time = None
 
     net.drop_handler = handle_drop
 
-    def inject_from(node):
-        if state["injected"] >= num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        request = MulticastRequest.trusted(topology, node, draw_destinations(node))
-        expected[mid] = frozenset(request.destinations)
-        sources[mid] = node
+    def emit(mid, source, draw):
+        dests = draw(source)
+        expected[mid] = frozenset(dests)
+        sources[mid] = source
         origins[mid] = env.now
-        if fault_state.node_down(node):
+        if fault_state.node_down(source):
             stats.injection_failures += 1
-            handle_drop(mid, expected[mid], "source node down")
+            handle_drop(mid, dests, "source node down")
         else:
-            try:
-                inject_specs(net, mid, router(request), path_capacity, router)
-            except Unroutable:
-                stats.injection_failures += 1
-                handle_drop(mid, expected[mid], "unroutable")
-        schedule(expovariate(arrival_rate), inject_from, node)
+            send(mid, dests)
 
-    for node in nodes:
-        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
-
-    completed = net.run_to_completion()
-    if not completed:
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
-
-    cutoff = config.num_messages * config.warmup_fraction
-    latencies = [d.latency for d in net.deliveries if d.message_id > cutoff]
+    _poisson_traffic(env, topology, config, random.Random(config.seed), emit)
+    kept = _drain(net, config)
+    # deliveries are unique (message, destination) pairs; whatever the
+    # retry budget never reached is dropped
     total_expected = sum(len(dests) for dests in expected.values())
-    # delivered was counted per unique (message, destination) pair;
-    # whatever the retry budget never reached is dropped.
+    stats.delivered = len(net.deliveries)
     stats.dropped = total_expected - stats.delivered
-    empty = Summary(float("nan"), float("inf"), 0, 0)
     return FaultResult(
-        latency=batch_means(latencies) if latencies else empty,
-        injected_messages=state["injected"],
+        latency=_summary([d.latency for d in kept]),
+        injected_messages=config.num_messages,
         deliveries=len(net.deliveries),
         sim_time=env.now,
         worms=net.total_worms,
@@ -435,61 +458,24 @@ def run_mixed(
     env = Environment()
     net = WormholeNetwork(env, config)
     rng = random.Random(config.seed)
-    nodes = list(topology.nodes())
-    n = len(nodes)
-    state = {"injected": 0}
-    kinds: dict[int, str] = {}
+    unicasts: set[int] = set()
 
-    def inject_from(node):
-        if state["injected"] >= config.num_messages:
-            return
-        state["injected"] += 1
-        mid = state["injected"]
-        src_i = topology.index(node)
+    def emit(mid, source, draw):
         if rng.random() < unicast_fraction:
-            kinds[mid] = "unicast"
-            while True:
-                i = rng.randrange(n)
-                if i != src_i:
-                    break
-            dest = topology.node_at(i)
-            path = labeling.route_path(node, dest)
+            unicasts.add(mid)
+            (dest,) = draw(source, 1)
+            path = labeling.route_path(source, dest)
             net.inject_path(mid, path, {dest}, capacity=config.channels_per_link)
         else:
-            kinds[mid] = "multicast"
-            chosen: set = set()
-            while len(chosen) < config.num_destinations:
-                i = rng.randrange(n)
-                if i != src_i:
-                    chosen.add(i)
-            dests = tuple(topology.node_at(i) for i in sorted(chosen))
-            request = MulticastRequest(topology, node, dests)
+            request = MulticastRequest.trusted(topology, source, draw(source))
             inject_specs(net, mid, router(request), config.channels_per_link, router)
-        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
 
-    for node in nodes:
-        env.schedule(rng.expovariate(1.0 / config.mean_interarrival), inject_from, node)
-
-    if not net.run_to_completion():
-        raise DeadlockDetected(
-            f"{net.active_worms} worms blocked with an empty event calendar"
-        )
-    cutoff = config.num_messages * config.warmup_fraction
-    uni = [
-        d.latency
-        for d in net.deliveries
-        if d.message_id > cutoff and kinds[d.message_id] == "unicast"
-    ]
-    multi = [
-        d.latency
-        for d in net.deliveries
-        if d.message_id > cutoff and kinds[d.message_id] == "multicast"
-    ]
-    empty = Summary(float("nan"), float("inf"), 0, 0)
+    _poisson_traffic(env, topology, config, rng, emit)
+    kept = _drain(net, config)
     return MixedResult(
-        unicast_latency=batch_means(uni) if uni else empty,
-        multicast_latency=batch_means(multi) if multi else empty,
-        injected_messages=state["injected"],
+        unicast_latency=_summary([d.latency for d in kept if d.message_id in unicasts]),
+        multicast_latency=_summary([d.latency for d in kept if d.message_id not in unicasts]),
+        injected_messages=config.num_messages,
         sim_time=env.now,
     )
 

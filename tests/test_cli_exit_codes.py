@@ -9,6 +9,10 @@ their verbs' own suites.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -35,6 +39,53 @@ class TestInvalidSimConfig:
     def test_nonpositive_interarrival(self, verb, capsys):
         assert main([verb, "--interarrival-us", "-1"]) == 2
         assert "mean_interarrival" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("verb", SIM_VERBS)
+    def test_more_destinations_than_other_nodes(self, verb):
+        # the destination draw can never finish, so a missing check
+        # hangs: run in a subprocess the timeout can stop
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", verb, "--topology", "mesh:2x2",
+                 "--dests", "5", "--messages", "5"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{verb} hung on 5 destinations of a 4-node mesh")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        assert "num_destinations" in lines[0] and "4 nodes" in lines[0]
+
+
+class TestFaultModelCoverage:
+    def test_faults_rejects_vct_tree(self, capsys):
+        # vct-tree worms have no fault hooks: the run would report
+        # delivery 1.0000 with every fault ignored
+        argv = ["faults", "--topology", "mesh:4x4", "--schemes", "vct-tree",
+                "--fault-rates", "0.1", "--messages", "100"]
+        assert main(argv) == 2
+        assert "vct-tree" in _one_line_error(capsys)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["simulate", "--topology", "mesh:0x4"], "mesh:0x4"),
+            (["simulate", "--topology", "cube:-1"], "cube:-1"),
+            (["route", "--topology", "mesh:4x4", "--source", "0,0", "--dest", "9,9"], "9,9"),
+            (["route", "--topology", "cube:4", "--source", "abc", "--dest", "1"], "abc"),
+            (["faults", "--fault-rates", "x"], "--fault-rates"),
+        ],
+    )
+    def test_exit_2(self, argv, needle, capsys):
+        assert main(argv) == 2
+        assert needle in _one_line_error(capsys)
 
 
 class TestUnknownScheme:

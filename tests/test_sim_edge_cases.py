@@ -15,6 +15,7 @@ from repro.sim import (
     WormholeNetwork,
     batch_means,
     run_dynamic,
+    run_resilient,
     t975,
 )
 from repro.topology import Hypercube, Mesh2D
@@ -162,6 +163,45 @@ class TestRunnerEdgeCases:
         cfg = SimConfig(num_messages=100, num_destinations=1, seed=6)
         r = run_dynamic(h, "dual-path", cfg)
         assert r.deliveries == 100
+
+    def test_every_other_node_as_destinations(self):
+        # num_nodes - 1 destinations is the largest draw that can finish
+        # (one more is rejected: tests/test_cli_exit_codes.py)
+        cfg = SimConfig(num_messages=5, num_destinations=3)
+        assert run_dynamic(Mesh2D(2, 2), "dual-path", cfg).deliveries == 15
+
+    def test_no_deliveries_gives_empty_summary(self):
+        r = run_dynamic(Mesh2D(4, 4), "dual-path", SimConfig(num_messages=0))
+        assert r.deliveries == 0
+        assert math.isnan(r.mean_latency) and r.latency.num_observations == 0
+
+
+class TestFaultModelCoverage:
+    def test_vct_tree_faults_rejected(self):
+        from repro.sim import UnsupportedFaultModel
+
+        # VCT worms have no fault hooks: faults would fire and kill nothing
+        cfg = SimConfig(num_messages=50, num_destinations=5, link_fault_rate=0.1)
+        with pytest.raises(UnsupportedFaultModel, match="vct-tree"):
+            run_resilient(Mesh2D(6, 6), "vct-tree", cfg)
+        assert issubclass(UnsupportedFaultModel, ValueError)
+
+    @pytest.mark.parametrize(
+        "topology, scheme, channels",
+        [(Mesh2D(6, 6), "dual-path", 1), (Mesh2D(6, 6), "dual-path-adaptive", 1),
+         (Mesh2D(6, 6), "virtual-channel-2", 1), (Mesh2D(6, 6), "xfirst-tree", 2),
+         (Hypercube(5), "ecube-tree", 1)],
+    )
+    def test_every_covered_worm_style_feels_faults(self, topology, scheme, channels):
+        from repro.sim.runner import FAULT_WORM_STYLES
+        from repro.registry import get
+
+        assert get(scheme).worm_style in FAULT_WORM_STYLES
+        cfg = SimConfig(num_messages=100, num_destinations=4, link_fault_rate=0.1,
+                        channels_per_link=channels, mean_interarrival=2e-3, seed=4)
+        r = run_resilient(topology, scheme, cfg)
+        assert r.stats.link_fault_events > 0
+        assert r.stats.killed_worms > 0 or r.stats.detoured > 0
 
 
 # ----------------------------------------------------------------------
