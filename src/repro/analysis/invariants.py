@@ -26,7 +26,7 @@ from .. import registry
 from ..labeling import canonical_labeling
 from ..labeling.base import Labeling
 from ..models.request import MulticastRequest, random_multicast
-from ..models.results import MulticastStar, MulticastTree
+from ..models.results import MulticastStar
 from ..topology.base import Topology
 from ..topology.mesh import Mesh2D
 from .graph import is_acyclic
@@ -41,15 +41,6 @@ __all__ = [
     "check_vc_layering",
     "sample_requests",
 ]
-
-#: schemes whose trees promise per-destination shortest paths
-#: (Def. 3.4 multicast trees, validated with ``shortest_paths=True``);
-#: Steiner heuristics (greedy-st, kmb) minimize traffic instead and are
-#: exempt from the per-destination minimality invariant.
-MINIMAL_TREE_SCHEMES = frozenset(
-    {"xfirst", "ecube-tree", "len", "divided-greedy", "broadcast", "multi-unicast"}
-)
-
 
 @dataclass(frozen=True)
 class InvariantViolation:
@@ -125,16 +116,14 @@ def check_reachability(
     topology: Topology,
     requests: Sequence[MulticastRequest] | None = None,
 ) -> list[InvariantViolation]:
-    """Every routable spec must produce a route that validates against
-    its request and reaches every destination; Def. 3.4 tree schemes
-    (see :data:`MINIMAL_TREE_SCHEMES`) must additionally deliver each
-    destination over a shortest path."""
+    """Every routable spec must produce a route that passes the
+    registry's check of its declared model (:meth:`AlgorithmSpec.route`):
+    it reaches every destination, and a ``multicast-tree`` reaches each
+    over a shortest path (Def. 3.4)."""
     violations = []
     for request in requests if requests is not None else sample_requests(topology):
         try:
-            route = spec.fn(request)
-            route.validate(request)
-            hops = route.dest_hops(request.destinations)
+            spec.route(request)
         except Exception as exc:
             violations.append(
                 InvariantViolation(
@@ -145,25 +134,6 @@ def check_reachability(
                     f"failed: {exc}",
                 )
             )
-            continue
-        missing = set(request.destinations) - set(hops)
-        if missing:
-            violations.append(
-                InvariantViolation(
-                    "reachability", spec.name, str(topology),
-                    f"destinations never reached: {sorted(map(repr, missing))}",
-                )
-            )
-        if isinstance(route, MulticastTree) and spec.name in MINIMAL_TREE_SCHEMES:
-            for dest, h in hops.items():
-                d = topology.distance(request.source, dest)
-                if h != d:
-                    violations.append(
-                        InvariantViolation(
-                            "minimality", spec.name, str(topology),
-                            f"{dest!r} reached in {h} hops, distance is {d}",
-                        )
-                    )
     return violations
 
 

@@ -1,10 +1,10 @@
 """Repo-specific AST lint pass: ``python -m repro lint``.
 
 Generic linters (the ruff families in ``pyproject.toml``) cannot see
-*project* conventions — that scheme dispatch must flow through
-:mod:`repro.registry`, that simulation/fault code must never construct
-an unseeded RNG (replications derive every stream from the config
-seed), that :class:`~repro.sim.kernel.LegacyEnvironment` is reserved
+*project* conventions — that scheme dispatch and route checks must
+flow through :mod:`repro.registry`, that simulation/fault code must
+never construct an unseeded RNG (replications derive every stream from
+the config seed), that :class:`~repro.sim.kernel.LegacyEnvironment` is reserved
 for the parity layer, and that worker/retry paths must never swallow
 ``KeyboardInterrupt`` with a bare ``except``.  This module enforces
 them with a small plugin-style rule API: a rule is one decorated
@@ -259,6 +259,23 @@ def no_bare_except(ctx: FileContext) -> Iterator[tuple]:
     for node in ctx.walk(ast.ExceptHandler):
         if node.type is None:
             yield node, "bare except clause"
+
+
+@rule(
+    "route-check-site",
+    "route builders in repro.heuristics/wormhole/exact never validate their "
+    "output: AlgorithmSpec.check is the one check site (exact/reference.py, "
+    "a parity oracle, is exempt)",
+)
+def route_check_site(ctx: FileContext) -> Iterator[tuple]:
+    parts = ctx.path.resolve().parts
+    pairs = set(zip(parts, parts[1:]))
+    builders = {("repro", p) for p in ("heuristics", "wormhole", "exact")}
+    if not pairs & builders or parts[-2:] == ("exact", "reference.py"):
+        return
+    for node in ctx.walk(ast.Call):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "validate":
+            yield node, "route self-check in a route builder — leave it to spec.route()"
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ def cmd_route(args) -> int:
                 )
                 return 2
             kwargs["budget"] = args.budget
-        route = spec.fn(request, **kwargs)
+        route = spec.route(request, **kwargs)
     hops = max(route.dest_hops(request.destinations).values())
     print(f"{args.algorithm} on {topology}: traffic={route.traffic} max_hops={hops}")
     if args.show:

@@ -81,9 +81,7 @@ def optimal_multicast_path(
     nodes, _cost = solve_path_mask(
         tables, tables.full_mask, budget, require_return=False
     )
-    path = MulticastPath(topo, tuple(nodes))
-    path.validate(request)
-    return path
+    return MulticastPath(topo, tuple(nodes))
 
 
 @register(
@@ -105,9 +103,7 @@ def optimal_multicast_cycle(
     nodes, _cost = solve_path_mask(
         tables, tables.full_mask, budget, require_return=True
     )
-    cycle = MulticastCycle(topo, tuple(nodes))
-    cycle.validate(request)
-    return cycle
+    return MulticastCycle(topo, tuple(nodes))
 
 
 def solve_path_mask(

@@ -16,7 +16,7 @@ from ..topology.base import Node
     "multi-unicast",
     kind="static-route",
     topologies=("mesh2d", "mesh3d", "hypercube", "torus"),
-    result_model="tree",
+    result_model="multicast-tree",
     reference="§1.1/§7.1 (one dimension-ordered copy per destination)",
 )
 def multiple_unicast_route(request: MulticastRequest) -> MulticastTree:
@@ -32,16 +32,14 @@ def multiple_unicast_route(request: MulticastRequest) -> MulticastTree:
     for d in request.destinations:
         path = topo.dimension_ordered_path(request.source, d)
         arcs.extend(zip(path, path[1:]))
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))
 
 
 @register(
     "broadcast",
     kind="static-route",
     topologies=("mesh2d", "mesh3d", "hypercube", "torus"),
-    result_model="tree",
+    result_model="multicast-tree",
     reference="§7.1 (BFS spanning-tree broadcast; traffic always N-1)",
 )
 def broadcast_route(request: MulticastRequest) -> MulticastTree:
@@ -63,6 +61,4 @@ def broadcast_route(request: MulticastRequest) -> MulticastTree:
                 seen.add(v)
                 arcs.append((u, v))
                 frontier.append(v)
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))

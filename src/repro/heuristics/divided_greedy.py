@@ -118,7 +118,7 @@ def divided_greedy_step(local: Node, dests: Sequence[Node]) -> tuple[bool, dict]
     "divided-greedy",
     kind="static-route",
     topologies=("mesh2d",),
-    result_model="tree",
+    result_model="multicast-tree",
     reference="§5.3 Fig. 5.6 (divided greedy MT heuristic)",
 )
 def divided_greedy_route(request: MulticastRequest) -> MulticastTree:
@@ -138,6 +138,4 @@ def divided_greedy_route(request: MulticastRequest) -> MulticastTree:
             pending.append((nxt, sub))
     if delivered != set(request.destinations):
         raise RuntimeError("divided greedy multicast failed to deliver")
-    tree = MulticastTree(request.topology, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(request.topology, request.source, tuple(arcs))

@@ -23,7 +23,7 @@ from ..topology.base import Node
     "kmb",
     kind="static-route",
     topologies=("mesh2d", "mesh3d", "hypercube", "torus"),
-    result_model="tree",
+    result_model="steiner-tree",
     reference="§5.2 (Kou-Markowsky-Berman 1978 Steiner baseline)",
 )
 def kmb_route(request: MulticastRequest) -> MulticastTree:
@@ -93,6 +93,4 @@ def kmb_route(request: MulticastRequest) -> MulticastTree:
                 removed = True
 
     arcs = [(p, v) for v, p in parent.items() if p is not None]
-    tree = MulticastTree(topo, request.source, tuple(arcs))
-    tree.validate(request)
-    return tree
+    return MulticastTree(topo, request.source, tuple(arcs))

@@ -54,7 +54,7 @@ def len_step(cube: Hypercube, local: Node, dests: Sequence[Node]) -> tuple[bool,
     "len",
     kind="static-route",
     topologies=("hypercube",),
-    result_model="tree",
+    result_model="multicast-tree",
     reference="§5.2 (Lan-Esfahanian-Ni hypercube multicast tree)",
 )
 def len_route(request: MulticastRequest) -> MulticastTree:
@@ -75,6 +75,4 @@ def len_route(request: MulticastRequest) -> MulticastTree:
             pending.append((nxt, sub))
     if delivered != set(request.destinations):
         raise RuntimeError("LEN multicast failed to deliver")
-    tree = MulticastTree(cube, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(cube, request.source, tuple(arcs))

@@ -80,9 +80,7 @@ def sorted_mp_route(
     u0 = request.source
     remaining = sorted_mp_prepare(request, mapping)
     nodes = _walk(mapping, u0, [(d, mapping.f(d, u0)) for d in remaining])
-    path = MulticastPath(request.topology, nodes)
-    path.validate(request)
-    return path
+    return MulticastPath(request.topology, nodes)
 
 
 @register(
@@ -105,9 +103,7 @@ def sorted_mc_route(
     keyed.append((u0, mapping.m + mapping.h(u0)))
     nodes = _walk(mapping, u0, keyed)
     assert nodes[-1] == u0
-    cycle = MulticastCycle(request.topology, nodes[:-1])
-    cycle.validate(request)
-    return cycle
+    return MulticastCycle(request.topology, nodes[:-1])
 
 
 def _walk(

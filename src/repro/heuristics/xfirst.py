@@ -56,7 +56,7 @@ def xfirst_step(local: Node, dests: Sequence[Node]) -> tuple[bool, dict]:
     "xfirst",
     kind="static-route",
     topologies=("mesh2d",),
-    result_model="tree",
+    result_model="multicast-tree",
     reference="§5.3 Fig. 5.5 (Theorem 5.3)",
 )
 def xfirst_route(request: MulticastRequest) -> MulticastTree:
@@ -76,6 +76,4 @@ def xfirst_route(request: MulticastRequest) -> MulticastTree:
             pending.append((nxt, sub))
     if delivered != set(request.destinations):
         raise RuntimeError("X-first multicast failed to deliver")
-    tree = MulticastTree(request.topology, request.source, tuple(arcs))
-    tree.validate(request, shortest_paths=True)
-    return tree
+    return MulticastTree(request.topology, request.source, tuple(arcs))

@@ -14,6 +14,8 @@ multicast cycle  :class:`MulticastCycle`  (Def. 3.2)
 Steiner tree     :class:`MulticastTree` with ``shortest_paths=False``
 multicast tree   :class:`MulticastTree` with ``shortest_paths=True``  (Def. 3.4)
 multicast star   :class:`MulticastStar`  (Def. 3.5)
+quadrant trees   :class:`QuadrantTrees`  (§6.2.1, one multicast tree
+                 per quadrant subnetwork)
 ===============  ====================================================
 
 Trees are stored as the list of directed link traversals (arcs) the
@@ -233,3 +235,26 @@ class MulticastStar:
         missing = set(request.destinations) - seen
         if missing:
             raise InvalidRouteError(f"star misses destinations {missing}")
+
+
+class QuadrantTrees(tuple):
+    """The §6.2.1 double-channel route ``((quadrant, tree), ...)``: one
+    tree per non-empty quadrant subnetwork, serving its destinations."""
+
+    def validate(self, request: MulticastRequest, shortest_paths: bool = False) -> None:
+        """Check the quadrants against the destination partition, each
+        arc's unit step against its quadrant's signs, and each tree
+        against its quadrant's destinations."""
+        from ..wormhole.subnetworks import QUADRANTS, partition_destinations
+
+        parts = partition_destinations(request.source, request.destinations)
+        if [q for q, _ in self] != [q for q in QUADRANTS if parts[q]]:
+            raise InvalidRouteError("quadrant trees do not match the destination partition")
+        for quadrant, tree in self:
+            sx = 1 if "+X" in quadrant else -1
+            sy = 1 if "+Y" in quadrant else -1
+            for u, v in tree.arcs:
+                if (v[0] - u[0]) * sx < 0 or (v[1] - u[1]) * sy < 0:
+                    raise InvalidRouteError(f"arc {(u, v)} left subnetwork {quadrant}")
+            sub = MulticastRequest(request.topology, request.source, tuple(parts[quadrant]))
+            tree.validate(sub, shortest_paths)

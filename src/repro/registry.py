@@ -12,8 +12,10 @@ capabilities:
   for, Ch. 6/7), or ``exact`` (an exponential optimal solver, Ch. 4);
 * ``topologies`` — the topology families the scheme is defined on
   (empty = any);
-* ``result_model`` — the Chapter 3 multicast model it produces
-  (``path`` / ``cycle`` / ``tree`` / ``star`` / ``cost``);
+* ``result_model`` — the Chapter 3 model its routes are checked
+  against: ``path`` / ``cycle`` / ``steiner-tree`` (Def. 3.3: reach
+  every destination) / ``multicast-tree`` (Def. 3.4: each over a
+  shortest path) / ``star`` / ``cost``;
 * ``worm_style`` — the worm-injection mechanism
   :class:`repro.sim.traffic.Router` uses (capability-typed dispatch: the
   router selects an adapter by style, never by scheme name);
@@ -29,13 +31,16 @@ capabilities:
 Consumers — the CLI, ``repro.experiments``, ``repro.parallel``, the
 simulator's :class:`Router`, the benchmarks — resolve schemes by name
 through :func:`get`; parametric families such as
-``virtual-channel-<p>`` resolve like any other name.  Adding scheme #16
+``virtual-channel-<p>`` resolve like any other name.  Route functions
+only build; public surfaces call :meth:`AlgorithmSpec.route` /
+:meth:`AlgorithmSpec.fault_route`, which also :meth:`~AlgorithmSpec.check`
+the result, and batch loops call the bare ``spec.fn``.  Adding scheme #16
 is one decorated function, not five edited files::
 
     from repro.registry import register
 
     @register("my-scheme", kind="static-route", topologies=("mesh2d",),
-              result_model="tree", reference="...")
+              result_model="multicast-tree", reference="...")
     def my_scheme_route(request): ...
 """
 
@@ -69,14 +74,14 @@ KINDS = ("static-route", "dynamic-worm", "exact")
 #: Chapter 3 multicast models an algorithm can produce.  ``cost`` marks
 #: exact solvers that return the optimal traffic value without a
 #: constructive route.
-RESULT_MODELS = ("path", "cycle", "tree", "star", "cost")
+RESULT_MODELS = ("path", "cycle", "steiner-tree", "multicast-tree", "star", "cost")
 
 #: Topology family keys (see :func:`topology_family`).
 TOPOLOGY_FAMILIES = ("mesh2d", "mesh3d", "hypercube", "torus", "grid")
 
 #: Result models that come with a constructive route object (usable by
 #: ``python -m repro route`` and the static conformance suite).
-_ROUTE_MODELS = ("path", "cycle", "tree", "star")
+_ROUTE_MODELS = ("path", "cycle", "steiner-tree", "multicast-tree", "star")
 
 
 class UnknownSchemeError(ValueError):
@@ -199,19 +204,41 @@ class AlgorithmSpec:
         return self.worm_style is not None
 
     @property
+    def fault_fn(self) -> Callable | None:
+        """The registered fault router ``fn(request, faulty, labeling)``
+        — a bare builder, like :attr:`fn` — or ``None``."""
+        return _FAULT_ROUTERS.get(self.name)
+
+    @property
     def fault_tolerant(self) -> bool:
         """Whether the scheme declares a fault router — the §8.2
         claim that it can detour around faulty channels."""
-        return self.name in _FAULT_ROUTERS
+        return self.fault_fn is not None
+
+    def check(self, request, route):
+        """``route``, once it meets the Chapter 3 condition of
+        :attr:`result_model` for ``request`` (raises
+        :class:`~repro.models.results.InvalidRouteError` otherwise) —
+        the package's one route check site."""
+        if self.result_model == "multicast-tree":
+            route.validate(request, shortest_paths=True)
+        else:
+            route.validate(request)
+        return route
+
+    def route(self, request, *args, **kwargs):
+        """Build a route with :attr:`fn`, then :meth:`check` it."""
+        return self.check(request, self.fn(request, *args, **kwargs))
 
     def fault_route(self, request, faulty, labeling=None):
         """Route ``request`` around the ``faulty`` directed channels
-        with the scheme's registered fault router (raises if the spec
-        declares none; raises ``Unroutable`` when no detour exists)."""
-        fn = _FAULT_ROUTERS.get(self.name)
+        with the scheme's registered fault router, then :meth:`check`
+        the detour (raises if the spec declares no fault router; raises
+        ``Unroutable`` when no detour exists)."""
+        fn = self.fault_fn
         if fn is None:
             raise ValueError(f"{self.name} declares no fault router")
-        return fn(request, faulty, labeling)
+        return self.check(request, fn(request, faulty, labeling))
 
     def supports(self, topology) -> bool:
         """Whether ``topology`` belongs to a declared family."""
@@ -297,7 +324,7 @@ def register(name: str, **capabilities):
     The function is returned unchanged, so registration never perturbs
     direct callers::
 
-        @register("greedy-st", kind="static-route", result_model="tree", ...)
+        @register("greedy-st", kind="static-route", result_model="steiner-tree", ...)
         def greedy_st_route(request): ...
     """
 

@@ -26,6 +26,7 @@ from typing import Any
 
 from ..exact.errors import InfeasibleRoute, SearchBudgetExceeded
 from ..models.request import MulticastRequest
+from ..models.results import InvalidRouteError
 from ..registry import UnknownSchemeError, get as get_spec
 from ..topology import canonical_topology
 from ..workers import NO_REPLY, WorkerState
@@ -87,7 +88,7 @@ def compute_route(
         kwargs: dict[str, Any] = {}
         if job.get("budget") is not None and "budget" in spec.tunables:
             kwargs["budget"] = job["budget"]
-        route = spec.fn(request, **kwargs)
+        route = spec.route(request, **kwargs)
         hops = route.dest_hops(request.destinations)
         return True, {
             "scheme": spec.name,
@@ -98,6 +99,9 @@ def compute_route(
         return False, {"error": "budget-exceeded", "detail": str(exc)}
     except (InfeasibleRoute, Unroutable) as exc:
         return False, {"error": "unroutable", "detail": str(exc)}
+    except InvalidRouteError as exc:
+        # a server-side defect, not a bad request (precedes ValueError)
+        return False, {"error": "internal-error", "detail": f"InvalidRouteError: {exc}"}
     except (ValueError, TypeError, KeyError) as exc:
         return False, {"error": "bad-request", "detail": str(exc)}
     except Exception as exc:  # summarize, never traceback across the wire

@@ -289,8 +289,7 @@ class PathWorm:
 
     __slots__ = (
         "net", "env", "message_id", "nodes", "channels", "num_channels",
-        "dests", "injected_at", "idx", "flits", "tf", "faults", "dead",
-        "_advance", "_arrive", "_rel", "_sched",
+        "dests", "injected_at", "idx", "flits", "tf", "faults", "dead", "_sched",
     )
 
     def __init__(self, net: WormholeNetwork, message_id: int, nodes, channels, dests):
@@ -307,12 +306,10 @@ class PathWorm:
         self.tf = net.config.flit_time
         self.faults = net.fault_state
         self.dead = False
-        # prebound callbacks: the advance loop schedules these once per
-        # hop/flit, and binding them here avoids a method-object
-        # allocation per event
-        self._advance = self._try_advance
-        self._arrive = self._arrived
-        self._rel = self._release
+        # callbacks are bound per event, not stored on the worm: a bound
+        # method kept in a slot is a reference cycle, so every finished
+        # worm would wait for the cyclic collector instead of being
+        # freed when its last event runs
         self._sched = net.env.schedule
 
     def start(self) -> None:
@@ -331,14 +328,14 @@ class PathWorm:
             self.net.kill_worm(self, "faulted channel on fixed path")
             return
         if ch.in_use >= ch.capacity:
-            ch.waiters.append(self._advance)
+            ch.waiters.append(self._try_advance)
             return
         ch.in_use += 1
         self.idx = i + 1
         j = i - self.flits
         if j >= 0:
             self._release(j)
-        self._sched(self.tf, self._arrive)
+        self._sched(self.tf, self._arrived)
 
     def _arrived(self) -> None:
         if self.dead:
@@ -355,7 +352,7 @@ class PathWorm:
         sched = self._sched
         tf = self.tf
         for i in range(max(0, D - F), D):
-            sched((i + F - D) * tf, self._rel, i)
+            sched((i + F - D) * tf, self._release, i)
         sched((F - 1) * tf, self._finished)
 
     def _release(self, i: int) -> None:
@@ -399,7 +396,7 @@ class AdaptivePathWorm:
     __slots__ = (
         "net", "env", "message_id", "labeling", "channel_key", "capacity",
         "nodes", "channels", "queue", "dests", "injected_at", "flits", "tf",
-        "faults", "dead", "_advance", "_arrive", "_rel",
+        "faults", "dead",
     )
 
     def __init__(self, net, message_id, source, dest_queue, labeling, channel_key, capacity):
@@ -418,9 +415,6 @@ class AdaptivePathWorm:
         self.tf = net.config.flit_time
         self.faults = net.fault_state
         self.dead = False
-        self._advance = self._try_advance
-        self._arrive = self._arrived
-        self._rel = self._release
 
     def start(self) -> None:
         self._pop_reached()
@@ -466,7 +460,7 @@ class AdaptivePathWorm:
             # deterministic R choice when nothing is down; the fault
             # check reruns on wake-up
             ch = self.net.channel(self.channel_key(cur, candidates[0]), self.capacity)
-            ch.waiters.append(self._advance)
+            ch.waiters.append(self._try_advance)
             return
         if detouring:
             self.net.stats.detoured += 1
@@ -476,7 +470,7 @@ class AdaptivePathWorm:
         i = len(self.channels) - 1
         if i - self.flits >= 0:
             self._release(i - self.flits)
-        self.env.schedule(self.tf, self._arrive)
+        self.env.schedule(self.tf, self._arrived)
 
     def _arrived(self) -> None:
         if self.dead:
@@ -490,7 +484,7 @@ class AdaptivePathWorm:
         D = len(self.channels)
         F = self.flits
         for i in range(max(0, D - F), D):
-            self.env.schedule((i + F - D) * self.tf, self._rel, i)
+            self.env.schedule((i + F - D) * self.tf, self._release, i)
         self.env.schedule((F - 1) * self.tf, self._finished)
 
     def _release(self, i: int) -> None:
@@ -522,7 +516,6 @@ class TreeWorm:
     __slots__ = (
         "net", "env", "message_id", "chan_levels", "head_levels",
         "dest_levels", "injected_at", "k", "flits", "tf", "faults", "dead",
-        "_tick", "_done", "_rel",
     )
 
     def __init__(self, net: WormholeNetwork, message_id: int, chan_levels, head_levels):
@@ -539,9 +532,6 @@ class TreeWorm:
         self.tf = net.config.flit_time
         self.faults = net.fault_state
         self.dead = False
-        self._tick = self._try_tick
-        self._done = self._tick_done
-        self._rel = self._release_level
 
     def start(self) -> None:
         if not self.chan_levels:
@@ -561,7 +551,7 @@ class TreeWorm:
                     return
         for ch in level:
             if not ch.free:
-                ch.waiters.append(self._tick)
+                ch.waiters.append(self._try_tick)
                 return
         for ch in level:
             ch.acquire()
@@ -569,7 +559,7 @@ class TreeWorm:
         self.k += 1
         if k - self.flits >= 0:
             self._release_level(k - self.flits)
-        self.env.schedule(self.tf, self._done)
+        self.env.schedule(self.tf, self._tick_done)
 
     def _tick_done(self) -> None:
         if self.dead:
@@ -582,7 +572,7 @@ class TreeWorm:
         L = len(self.chan_levels)
         F = self.flits
         for idx in range(max(0, L - F), L):
-            self.env.schedule((idx + F - L) * self.tf, self._rel, idx)
+            self.env.schedule((idx + F - L) * self.tf, self._release_level, idx)
         self.env.schedule((L - 1 + F - L) * self.tf, self._finished)
 
     def _release_level(self, idx: int) -> None:

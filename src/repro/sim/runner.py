@@ -180,16 +180,20 @@ def _poisson_traffic(env: Environment, topology: Topology, config: SimConfig, rn
                 chosen.add(i)
         return tuple(nodes[i] for i in sorted(chosen))
 
-    def arrive(node):
+    # ``arrive`` gets itself as an argument instead of naming itself:
+    # a closure over its own name is a reference cycle that would keep
+    # the finished run's network and deliveries alive until the cyclic
+    # collector ran
+    def arrive(node, again):
         nonlocal injected
         if injected >= num_messages:
             return
         injected += 1
         emit(injected, node, draw)
-        schedule(expovariate(arrival_rate), arrive, node)
+        schedule(expovariate(arrival_rate), again, node, again)
 
     for node in nodes:
-        schedule(expovariate(arrival_rate), arrive, node)
+        schedule(expovariate(arrival_rate), arrive, node, arrive)
 
 
 def _drain(net: WormholeNetwork, config: SimConfig) -> list:

@@ -31,7 +31,7 @@ from collections.abc import Callable
 from ..heuristics.xfirst import xfirst_route
 from ..labeling import canonical_labeling
 from ..models.request import MulticastRequest
-from ..registry import AlgorithmSpec, get as get_spec, names, register_spec
+from ..registry import AlgorithmSpec, get as get_spec, register_spec
 from ..topology.hypercube import Hypercube
 from ..wormhole.cdg import tree_stages
 from ..wormhole.ecube_tree import ecube_tree_route
@@ -117,10 +117,6 @@ def worm_adapter(style: str):
 
 @worm_adapter("star")
 def _star_worms(router: "Router", request: MulticastRequest) -> list:
-    # path routes are computed per message in the dynamic study;
-    # validation is redundant there (the algorithms are deterministic
-    # and statically tested), so it is skipped unless the router was
-    # built with validate=True.
     fault_state = router.fault_state
     if fault_state is not None and router.spec.fault_tolerant:
         blocked = fault_state.blocked_links(router.topology)
@@ -133,18 +129,18 @@ def _star_worms(router: "Router", request: MulticastRequest) -> list:
             # delivers what it can before dying, and the resilient
             # driver's retry picks up the remainder)
             try:
-                star = router.spec.fault_route(request, blocked, router.labeling)
+                star = router.spec.fault_fn(request, blocked, router.labeling)
             except Unroutable:
                 pass
             else:
-                return _star_to_specs(star)
-    star = router.spec.fn(request, router.labeling, validate=router.validate)
-    return _star_to_specs(star)
+                return _star_to_specs(router.checked(request, star))
+    star = router.spec.fn(request, router.labeling)
+    return _star_to_specs(router.checked(request, star))
 
 
 @worm_adapter("vc-star")
 def _vc_star_worms(router: "Router", request: MulticastRequest) -> list:
-    star = router.spec.fn(request, router.num_planes, router.labeling)
+    star = router.checked(request, router.spec.fn(request, router.num_planes, router.labeling))
     return [
         PathSpec(tuple(path), frozenset(group), plane)
         for path, group, plane in zip(star.paths, star.partition, star.planes)
@@ -163,11 +159,8 @@ def _adaptive_worms(router: "Router", request: MulticastRequest) -> list:
 
 @worm_adapter("vct-tree")
 def _vct_tree_worms(router: "Router", request: MulticastRequest) -> list:
-    tree = (
-        ecube_tree_route(request)
-        if isinstance(router.topology, Hypercube)
-        else xfirst_route(request)
-    )
+    build = ecube_tree_route if isinstance(router.topology, Hypercube) else xfirst_route
+    tree = router.checked(request, build(request))
     return [
         VCTTreeSpec(request.source, tree.arcs, frozenset(request.destinations))
     ]
@@ -175,7 +168,8 @@ def _vct_tree_worms(router: "Router", request: MulticastRequest) -> list:
 
 @worm_adapter("tree")
 def _tree_worms(router: "Router", request: MulticastRequest) -> list:
-    return [_tree_to_spec(router.spec.fn(request), request.destinations)]
+    tree = router.checked(request, router.spec.fn(request))
+    return [_tree_to_spec(tree, request.destinations)]
 
 
 @worm_adapter("xfirst-tree")
@@ -186,12 +180,11 @@ def _xfirst_tree_worms(router: "Router", request: MulticastRequest) -> list:
         # even when it passes through another quadrant's destination on
         # a boundary row/column.
         parts = partition_destinations(request.source, request.destinations)
-        return [
-            _tree_to_spec(tree, parts[quadrant], tag=quadrant)
-            for quadrant, tree in double_channel_xfirst_route(request)
-        ]
+        trees = router.checked(request, double_channel_xfirst_route(request))
+        return [_tree_to_spec(tree, parts[quadrant], tag=quadrant) for quadrant, tree in trees]
     # single channels: the deadlock-prone §6.1 mesh tree.
-    return [_tree_to_spec(xfirst_route(request), request.destinations)]
+    tree = router.checked(request, xfirst_route(request))
+    return [_tree_to_spec(tree, request.destinations)]
 
 
 register_spec(
@@ -199,6 +192,7 @@ register_spec(
         name="vct-tree",
         kind="dynamic-worm",
         topologies=("mesh2d", "hypercube"),
+        result_model="multicast-tree",
         worm_style="vct-tree",
         # virtual cut-through buffers the whole message at a blocked
         # node, so a waiting message holds no channels: the channel
@@ -220,8 +214,10 @@ class Router:
     adding a scheme never touches this class.  ``labeling`` overrides
     the canonical labeling — the throughput benchmark passes a
     :class:`~repro.labeling.reference.ReferenceRouting` proxy here to
-    route on the uncached baseline path.  ``validate=True`` re-enables
-    the per-message route self-check the hot path skips.
+    route on the uncached baseline path.  Adapters call the bare
+    builders; ``validate=True`` passes every route they build through
+    :meth:`~repro.registry.AlgorithmSpec.check` (``adaptive`` worms
+    build none: they route hop by hop).
     ``channels_per_link`` mirrors the simulated network's channel
     multiplicity; the X-first tree uses it to pick between the
     double-channel quadrant subnetworks and the plain single-channel
@@ -231,14 +227,6 @@ class Router:
     without the ``fault_tolerant`` capability ignore it (their worms
     simply die on faults).
     """
-
-    # Pre-registry scheme groupings, kept for compatibility and derived
-    # from the registry so they never drift from it.
-    PATH_SCHEMES = tuple(names(worm_style="star"))
-    TREE_SCHEMES = tuple(names(worm_style="tree")) + tuple(names(worm_style="xfirst-tree"))
-    ADAPTIVE_SCHEMES = tuple(names(worm_style="adaptive"))
-    VCT_TREE_SCHEMES = tuple(names(worm_style="vct-tree"))
-    VC_PREFIX = "virtual-channel-"  # resolved by the registry's parametric family
 
     def __init__(
         self,
@@ -268,3 +256,7 @@ class Router:
 
     def __call__(self, request: MulticastRequest) -> list:
         return _WORM_ADAPTERS[self.spec.worm_style](self, request)
+
+    def checked(self, request: MulticastRequest, route):
+        """``route``, through the spec's check if ``validate=True``."""
+        return self.spec.check(request, route) if self.validate else route

@@ -29,21 +29,23 @@ def tree_chains(arcs, source):
     children = defaultdict(list)
     for u, v in arcs:
         children[u].append(v)
-    chains = []
-
-    def walk(start):
-        for child in children[start]:
-            chain = [start, child]
-            node = child
-            while len(children[node]) == 1:
-                node = children[node][0]
-                chain.append(node)
-            chains.append(chain)
-            if children[node]:
-                walk(node)
-
-    walk(source)
+    chains: list = []
+    _collect_chains(children, source, chains)
     return chains
+
+
+def _collect_chains(children, start, chains: list) -> None:
+    # a module-level recursion: a nested function calling itself by
+    # name would be a reference cycle per tree
+    for child in children[start]:
+        chain = [start, child]
+        node = child
+        while len(children[node]) == 1:
+            node = children[node][0]
+            chain.append(node)
+        chains.append(chain)
+        if children[node]:
+            _collect_chains(children, node, chains)
 
 
 class VCTTreeMulticast:

@@ -88,7 +88,7 @@ def render_scheme(mesh: Mesh2D, scheme: str, request: MulticastRequest) -> str:
         )
     if not spec.supports(mesh):
         raise ValueError(f"{spec.name} is not defined on {mesh}")
-    return render_route(mesh, spec.fn(request), request)
+    return render_route(mesh, spec.route(request), request)
 
 
 def render_labeling(mesh: Mesh2D, labeling) -> str:

@@ -107,9 +107,7 @@ def fault_tolerant_dual_path(
         if group:
             paths.append(fault_tolerant_path(labeling, request.source, group, bad))
             partition.append(tuple(group))
-    star = MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
-    star.validate(request)
-    return star
+    return MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
 
 
 # The fault-tolerance conformance hooks (cf. ``cdg_certificate``): the

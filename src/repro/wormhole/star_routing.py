@@ -13,6 +13,7 @@ dependency graph is acyclic, all three algorithms are deadlock-free
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from ..labeling import canonical_labeling
 from ..labeling.base import Labeling
@@ -26,15 +27,13 @@ from ..topology.mesh import Mesh2D
 def split_high_low(request: MulticastRequest, labeling: Labeling) -> tuple[list, list]:
     """Message preparation step 1-2 (Fig. 6.11): D_H sorted ascending by
     label, D_L sorted descending."""
-    l0 = labeling.label(request.source)
-    high = sorted(
-        (d for d in request.destinations if labeling.label(d) > l0), key=labeling.label
-    )
-    low = sorted(
-        (d for d in request.destinations if labeling.label(d) < l0),
-        key=labeling.label,
-        reverse=True,
-    )
+    label = labeling.label
+    l0 = label(request.source)
+    # one label per destination; equal labels are the same node, so
+    # reading the ascending order backwards is the descending order
+    labeled = sorted(((label(d), d) for d in request.destinations), key=itemgetter(0))
+    high = [d for ld, d in labeled if ld > l0]
+    low = [d for ld, d in reversed(labeled) if ld < l0]
     return high, low
 
 
@@ -84,16 +83,10 @@ def star_cdg_certificate(topology, params=None):
     reference="§6.2 Figs. 6.11-6.12 (Assertion 2)",
 )
 def dual_path_route(
-    request: MulticastRequest, labeling: Labeling | None = None, validate: bool = True
+    request: MulticastRequest, labeling: Labeling | None = None
 ) -> MulticastStar:
     """Dual-path multicast routing (Figs. 6.11-6.12): one path through
-    the high-channel network, one through the low-channel network.
-
-    ``validate=False`` skips the O(path-length) self-check against the
-    request — the dynamic study calls this per message, and the check
-    never changes the returned star (the routing algorithms are
-    deterministic and covered by the static test suite).
-    """
+    the high-channel network, one through the low-channel network."""
     if labeling is None:
         labeling = canonical_labeling(request.topology)
     high, low = split_high_low(request, labeling)
@@ -102,10 +95,7 @@ def dual_path_route(
         if group:
             paths.append(route_path_through(labeling, request.source, group))
             partition.append(tuple(group))
-    star = MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
-    if validate:
-        star.validate(request)
-    return star
+    return MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
 
 
 def _multi_path_groups_mesh(
@@ -191,7 +181,7 @@ def _multi_path_groups_by_interval(
     reference="§6.2 Figs. 6.13-6.14 (Assertion 3)",
 )
 def multi_path_route(
-    request: MulticastRequest, labeling: Labeling | None = None, validate: bool = True
+    request: MulticastRequest, labeling: Labeling | None = None
 ) -> MulticastStar:
     """Multi-path multicast routing (Fig. 6.14 / Fig. 6.20): up to four
     paths in a mesh, up to n in an n-cube.  Each sublist is handed to a
@@ -211,10 +201,7 @@ def multi_path_route(
         # first destination).
         paths.append([request.source] + route_path_through(labeling, first_hop, dlist))
         partition.append(tuple(dlist))
-    star = MulticastStar(topo, request.source, tuple(paths), tuple(partition))
-    if validate:
-        star.validate(request)
-    return star
+    return MulticastStar(topo, request.source, tuple(paths), tuple(partition))
 
 
 @register(
@@ -229,7 +216,7 @@ def multi_path_route(
     reference="§6.2 (one fixed path per direction; Corollary 6.2)",
 )
 def fixed_path_route(
-    request: MulticastRequest, labeling: Labeling | None = None, validate: bool = True
+    request: MulticastRequest, labeling: Labeling | None = None
 ) -> MulticastStar:
     """Fixed-path multicast routing (§6.2.2, Fig. 6.17, suggested in
     [Lin/McKinley/Ni 1991]): the two paths simply follow the Hamiltonian
@@ -248,10 +235,7 @@ def fixed_path_route(
         bottom = labeling.label(low[-1])
         paths.append([labeling.node_of(i) for i in range(l0, bottom - 1, -1)])
         partition.append(tuple(low))
-    star = MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
-    if validate:
-        star.validate(request)
-    return star
+    return MulticastStar(request.topology, request.source, tuple(paths), tuple(partition))
 
 
 register_spec(

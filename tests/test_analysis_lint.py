@@ -32,6 +32,7 @@ def test_rules_are_registered():
         "no-legacy-environment",
         "no-registry-bypass",
         "no-unseeded-rng",
+        "route-check-site",
     } <= set(ids)
 
 
@@ -103,6 +104,27 @@ def test_no_unseeded_rng_covers_benchmarks_and_chaos(tmp_path):
         select=["no-unseeded-rng"],
     )
     assert findings == []
+
+
+def test_route_check_site_fires_in_route_builders_only(tmp_path):
+    source = "def route(request):\n    tree = build(request)\n    tree.validate(request)\n    return tree\n"
+    flagged = []
+    for pkg in ("heuristics", "wormhole", "exact", "analysis"):
+        for name in ("builder.py", "reference.py"):
+            path = tmp_path / "repro" / pkg / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+            findings = lint_file(path, root=tmp_path, select=["route-check-site"])
+            if findings:
+                assert findings[0].line == 3
+                flagged.append(f"{pkg}/{name}")
+    # exact/reference.py is the parity oracle; checking outside the
+    # builder packages (e.g. analysis) is what consumers do
+    assert flagged == [
+        "heuristics/builder.py", "heuristics/reference.py",
+        "wormhole/builder.py", "wormhole/reference.py",
+        "exact/builder.py",
+    ]
 
 
 def test_no_legacy_environment_fires(tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.models import MulticastRequest
+from repro.registry import names
 from repro.sim import (
     DeadlockDetected,
     Router,
@@ -55,7 +56,7 @@ class TestRouterAdapters:
         from repro.sim.traffic import PathSpec
 
         req = MulticastRequest(MESH, (3, 3), ((0, 0), (7, 7), (5, 1)))
-        for scheme in Router.PATH_SCHEMES:
+        for scheme in names(worm_style="star"):
             specs = Router(MESH, scheme)(req)
             assert all(isinstance(s, PathSpec) for s in specs)
             covered = set().union(*(s.destinations for s in specs))

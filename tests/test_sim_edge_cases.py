@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from repro.sim import (
     WormholeNetwork,
     batch_means,
     run_dynamic,
+    run_mixed,
     run_resilient,
     t975,
 )
@@ -174,6 +176,55 @@ class TestRunnerEdgeCases:
         r = run_dynamic(Mesh2D(4, 4), "dual-path", SimConfig(num_messages=0))
         assert r.deliveries == 0
         assert math.isnan(r.mean_latency) and r.latency.num_observations == 0
+
+
+def _cyclic_garbage_of(run) -> int:
+    """Objects the cyclic collector finds after ``run()`` (collection
+    off while it runs, after one warm-up call)."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestFinishedRunsLeaveNoCycles:
+    """Worms keep no bound method of themselves and neither the arrival
+    process nor the VCT chain walk closes over its own name, so a
+    finished run — network, worms, deliveries — is freed by reference
+    counting alone."""
+
+    @pytest.mark.parametrize(
+        "topology, scheme, channels",
+        [
+            (Mesh2D(6, 6), "dual-path", 1),
+            (Mesh2D(6, 6), "multi-path", 1),
+            (Mesh2D(6, 6), "fixed-path", 1),
+            (Mesh2D(6, 6), "dual-path-adaptive", 1),
+            (Mesh2D(6, 6), "virtual-channel-2", 1),
+            (Mesh2D(6, 6), "xfirst-tree", 2),
+            (Mesh2D(6, 6), "vct-tree", 1),
+            (Hypercube(4), "ecube-tree", 1),
+        ],
+    )
+    def test_run_dynamic(self, topology, scheme, channels):
+        cfg = SimConfig(
+            num_messages=60, num_destinations=3, mean_interarrival=2000e-6,
+            channels_per_link=channels, seed=4,
+        )
+        assert _cyclic_garbage_of(lambda: run_dynamic(topology, scheme, cfg)) == 0
+
+    def test_run_mixed(self):
+        mesh = Mesh2D(6, 6)
+        cfg = SimConfig(num_messages=80, num_destinations=3, seed=4)
+
+        def run():
+            run_mixed(mesh, "dual-path", cfg, unicast_fraction=0.5)
+
+        assert _cyclic_garbage_of(run) == 0
 
 
 class TestFaultModelCoverage:
